@@ -1,0 +1,135 @@
+"""Frozen golden corpus: whole FPART runs must reproduce bit for bit.
+
+Each entry of ``tests/golden/fpart_golden.json`` pins one run of a
+Table-1 MCNC stand-in on one device and seed:
+
+* ``assignment_sha256`` — sha256 of the final assignment;
+* ``cost`` — the final cost fields (``f, d_k, t_sum, d_k_e, cut``) and
+  ``num_devices``;
+* ``passes`` / ``pass_start_sha256`` — the number of Sanchis passes and
+  a hash of their ``pass_start`` events (participating blocks plus entry
+  cost) taken from the run's trace stream.
+
+Both partition substrates run the same Sanchis engine, so the
+flat-vs-object identity tests cannot see a change to the engine's shared
+selection order; this corpus can.  The corpus was generated once from an
+unchanged engine and is never regenerated in a change that touches the
+search: a mismatch means the change altered behaviour.
+
+By default the stand-ins under 500 cells are checked; ``REPRO_FULL=1``
+checks every entry.  ``python tests/test_golden.py --write`` regenerates
+the file (only ever from a commit whose search is known good).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+from typing import Dict, List
+
+import pytest
+
+from repro.circuits import mcnc_circuit
+from repro.core import FpartConfig, FpartPartitioner, device_by_name
+from repro.obs.trace import TraceWriter
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "fpart_golden.json"
+CIRCUITS = (
+    "c3540", "c5315", "c6288", "c7552", "s5378",
+    "s9234", "s13207", "s15850", "s38417", "s38584",
+)
+DEVICE_NAMES = ("XC3020", "XC3042")
+SEEDS = (0, 1)
+#: Checked by default; the rest need ``REPRO_FULL=1``.
+SMALL = ("c3540", "c5315", "c7552", "s5378", "s9234")
+
+
+def _sha256(payload: object) -> str:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def entry_id(circuit: str, device: str, seed: int) -> str:
+    return f"{circuit}/{device}/seed{seed}"
+
+
+def run_entry(circuit: str, device: str, seed: int) -> Dict:
+    """One golden record, computed from a fresh traced run."""
+    hg = mcnc_circuit(circuit, "XC3000")
+    stream = io.StringIO()
+    tracer = TraceWriter(stream, run_id="golden", sample_moves=0)
+    result = FpartPartitioner(
+        hg, device_by_name(device), FpartConfig(seed=seed), tracer=tracer
+    ).run()
+    passes = [
+        [event["blocks"], event["cost"]]
+        for event in map(json.loads, stream.getvalue().splitlines())
+        if event["event"] == "pass_start"
+    ]
+    cost = result.cost
+    return {
+        "assignment_sha256": _sha256(result.assignment),
+        "cost": [
+            cost.feasible_blocks,
+            cost.distance,
+            cost.total_pins,
+            cost.ext_balance,
+            cost.cut_nets,
+        ],
+        "num_devices": result.num_devices,
+        "passes": len(passes),
+        "pass_start_sha256": _sha256(passes),
+    }
+
+
+def _load() -> Dict[str, Dict]:
+    return json.loads(GOLDEN_PATH.read_text())["entries"]
+
+
+def _cases() -> List:
+    full = bool(os.environ.get("REPRO_FULL"))
+    return [
+        pytest.param(circuit, device, seed, id=entry_id(circuit, device, seed))
+        for circuit in CIRCUITS
+        if full or circuit in SMALL
+        for device in DEVICE_NAMES
+        for seed in SEEDS
+    ]
+
+
+def test_corpus_covers_the_grid():
+    assert sorted(_load()) == sorted(
+        entry_id(c, d, s) for c in CIRCUITS for d in DEVICE_NAMES for s in SEEDS
+    )
+
+
+@pytest.mark.parametrize("circuit,device,seed", _cases())
+def test_golden_run(circuit, device, seed):
+    assert run_entry(circuit, device, seed) == _load()[
+        entry_id(circuit, device, seed)
+    ]
+
+
+def _write() -> None:
+    entries = {}
+    for circuit in CIRCUITS:
+        for device in DEVICE_NAMES:
+            for seed in SEEDS:
+                key = entry_id(circuit, device, seed)
+                entries[key] = run_entry(circuit, device, seed)
+                print(key, entries[key]["num_devices"], flush=True)
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(
+        json.dumps({"schema": 1, "entries": entries}, indent=1, sort_keys=True)
+        + "\n"
+    )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    _write()
