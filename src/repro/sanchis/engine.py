@@ -30,6 +30,19 @@ values change with every neighbouring lock.  Cells whose move is
 temporarily outside the feasible move region are parked per direction and
 re-offered when the region can have widened.
 
+Pass-start work is kept small two ways, since a pass seeds every free
+cell but typically applies far fewer moves:
+
+* *bulk seeding* — all entries are built in ``sorted(free)`` order, each
+  direction heap is heapified once and its head queued once; ``seq`` is
+  unique per entry, so a heap's pop order depends only on its set of
+  keys and selection equals the one-push-per-entry order;
+* on the flat substrate one fused kernel
+  (:func:`~repro.fm.gains.flat_gain_kernel`) yields a cell's gain vector
+  toward every target block from a single walk over its nets, for
+  seeding and neighbour refresh alike; the object substrate keeps one
+  :func:`~repro.fm.gains.move_gain_vector` call per direction.
+
 Per-move work is kept small three ways:
 
 * the best direction is found through a *global* lazy max-heap of
@@ -58,7 +71,7 @@ from ..core.config import FpartConfig
 from ..core.cost import CostEvaluator, IncrementalCostEvaluator, SolutionCost
 from ..core.move_region import MoveRegion
 from ..core.runguard import NULL_GUARD, RunGuard
-from ..fm.gains import move_gain_vector, pin_gain
+from ..fm.gains import GainKernel, flat_gain_kernel, move_gain_vector, pin_gain
 from ..obs.metrics import (
     GAIN_HIST_HI,
     GAIN_HIST_LO,
@@ -156,7 +169,6 @@ class SanchisEngine:
             raise ValueError("remainder must participate")
         self.state = state
         self.blocks = blocks
-        self.block_set: Set[int] = set(blocks)
         self.remainder = remainder
         self.evaluator = evaluator
         self.region = region
@@ -179,6 +191,47 @@ class SanchisEngine:
     # One pass
     # ------------------------------------------------------------------
 
+    def _gain_kernel(
+        self, locked_in_block: Sequence[Dict[int, int]]
+    ) -> GainKernel:
+        """One pass's ``(cell, from_block, targets) -> [(g1, g2)]`` kernel.
+
+        Flat states walk a cell's nets once for all directions
+        (:func:`~repro.fm.gains.flat_gain_kernel`); the object substrate
+        calls :func:`~repro.fm.gains.move_gain_vector` once per
+        direction, so the backend-identity tests compare the two.
+        """
+        state = self.state
+        config = self.config
+        if config.gain_mode == "pin":
+            # Future-work variant: primary = real pin gain, cut gain
+            # demoted to the tie-break slot.
+            def pin_vectors(cell, from_block, targets):
+                return [
+                    (
+                        pin_gain(state, cell, t),
+                        move_gain_vector(state, cell, t, locked_in_block)[0],
+                    )
+                    for t in targets
+                ]
+
+            return pin_vectors
+        if state.flat_counts is not None:
+            kernel = flat_gain_kernel(state, locked_in_block)
+        else:
+            def kernel(cell, from_block, targets):
+                return [
+                    move_gain_vector(state, cell, t, locked_in_block)
+                    for t in targets
+                ]
+        if config.use_level2_gains:
+            return kernel
+
+        def level1_only(cell, from_block, targets):
+            return [(g1, 0) for g1, _ in kernel(cell, from_block, targets)]
+
+        return level1_only
+
     def run_pass(self) -> Tuple[int, SolutionCost]:
         """One improvement pass; returns ``(moves_applied, best_cost)``.
 
@@ -188,8 +241,6 @@ class SanchisEngine:
         hg = state.hg
         config = self.config
         region = self.region
-        use_g2 = config.use_level2_gains
-        pin_mode = config.gain_mode == "pin"
         stall_limit = config.pass_stall_limit
 
         evaluator = self.evaluator
@@ -264,34 +315,52 @@ class SanchisEngine:
                 queued[direction] = key
                 heapq.heappush(dir_heap, key + direction)
 
+        # Per source block, aligned lists of its directions (in
+        # ``self.blocks`` order, which fixes the seq numbering), target
+        # blocks and direction heaps.
+        dirs_from = self._dirs_from
+        targets_of = {f: [t for _, t in dirs] for f, dirs in dirs_from.items()}
+        heaps_of = {f: [heaps[d] for d in dirs] for f, dirs in dirs_from.items()}
+        gain_vectors = self._gain_kernel(locked_in_block)
+        block_of = state.block_of
+
         def push(cell: int) -> None:
             nonlocal seq
-            f = state.block_of(cell)
-            if f not in self.block_set:
+            f = block_of(cell)
+            targets = targets_of.get(f)
+            if targets is None:
                 return
-            for t in self.blocks:
-                if t == f:
-                    continue
-                g1, g2 = move_gain_vector(state, cell, t, locked_in_block)
-                if not use_g2:
-                    g2 = 0
-                if pin_mode:
-                    # Future-work variant: primary = real pin gain,
-                    # cut gain demoted to the tie-break slot.
-                    g1, g2 = pin_gain(state, cell, t), g1
+            cell_version = version[cell]
+            for direction, heap, (g1, g2) in zip(
+                dirs_from[f], heaps_of[f], gain_vectors(cell, f, targets)
+            ):
                 seq += 1
-                heapq.heappush(
-                    heaps[(f, t)], (-g1, -g2, -seq, version[cell], cell)
-                )
-                enqueue((f, t), (-g1, -g2, -seq))
+                key = (-g1, -g2, -seq)
+                heapq.heappush(heap, key + (cell_version, cell))
+                enqueue(direction, key)
 
-        # Seed in sorted order: the LIFO sequence numbers must not depend
-        # on set iteration order (a function of the set's mutation
-        # history), or a run resumed from a checkpoint — whose block-cell
-        # sets are rebuilt fresh — would tie-break differently from the
-        # uninterrupted run.
+        # Bulk seeding.  Cells are visited in sorted order so the LIFO
+        # sequence numbers do not depend on set iteration order (a
+        # function of the set's mutation history): a run resumed from a
+        # checkpoint, whose block-cell sets are rebuilt fresh, must
+        # tie-break like the uninterrupted run.  Each direction's entries
+        # are heapified once and its head queued once.  Because every
+        # ``seq`` is unique, a heap's pop order depends only on its set
+        # of keys, so this selects exactly as one push per entry would;
+        # it only skips the superseded ``dir_heap`` duplicates that
+        # per-entry queueing left behind.
         for cell in sorted(free):
-            push(cell)
+            f = block_of(cell)
+            targets = targets_of[f]
+            for heap, (g1, g2) in zip(
+                heaps_of[f], gain_vectors(cell, f, targets)
+            ):
+                seq += 1
+                heap.append((-g1, -g2, -seq, 0, cell))
+        for direction, heap in heaps.items():
+            if heap:
+                heapq.heapify(heap)
+                enqueue(direction, heap[0][:3])
 
         def head(direction: Tuple[int, int]) -> Optional[_Entry]:
             """Valid, legal top entry of a direction (left on the heap)."""
@@ -486,7 +555,6 @@ class SanchisEngine:
                 # when the first lock of the pass lands in the
                 # destination block.
                 refreshed: Set[int] = set()
-                block_of = state.block_of
                 for e, (c_from, c_to, locked_to) in zip(nets, pre):
                     if c_from == 1 or c_to == 0:
                         # Net left from_block and/or entered to_block:

@@ -1,7 +1,12 @@
 """Move gains: level-1 against a brute-force oracle, level-2 semantics."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.fm import max_possible_gain, move_gain, move_gain_vector
-from repro.partition import PartitionState, cut_nets
+from repro.fm.gains import flat_gain_kernel
+from repro.hypergraph import Hypergraph
+from repro.partition import FlatPartitionState, PartitionState, cut_nets
 
 
 def brute_force_gain(state, cell, to_block):
@@ -128,3 +133,104 @@ class TestLevel2:
         locked = [dict()]
         g1, g2 = move_gain_vector(state, 0, 1, locked)
         assert (g1, g2) == (-1, 0)
+
+
+@st.composite
+def locked_flat_states(draw):
+    """A random flat state, per-net lock counts and per-cell targets."""
+    num_cells = draw(st.integers(2, 10))
+    num_blocks = draw(st.integers(2, 5))
+    nets = [
+        tuple(
+            draw(
+                st.lists(
+                    st.integers(0, num_cells - 1),
+                    min_size=1,
+                    max_size=min(5, num_cells),
+                    unique=True,
+                )
+            )
+        )
+        for _ in range(draw(st.integers(1, 14)))
+    ]
+    hg = Hypergraph([1] * num_cells, nets)
+    assignment = draw(
+        st.lists(
+            st.integers(0, num_blocks - 1),
+            min_size=num_cells,
+            max_size=num_cells,
+        )
+    )
+    locked = [
+        {
+            b: n
+            for b, n in enumerate(
+                draw(
+                    st.lists(
+                        st.integers(0, 2),
+                        min_size=num_blocks,
+                        max_size=num_blocks,
+                    )
+                )
+            )
+            if n
+        }
+        for _ in nets
+    ]
+    # Targets: any ordered subset of the other blocks, so a span-2 net's
+    # other block is sometimes not among them.
+    targets = [
+        draw(
+            st.permutations(
+                [b for b in range(num_blocks) if b != assignment[cell]]
+            ).flatmap(lambda p: st.integers(0, len(p)).map(lambda n: p[:n]))
+        )
+        for cell in range(num_cells)
+    ]
+    return hg, assignment, num_blocks, locked, targets
+
+
+class TestFlatGainKernel:
+    """The fused all-directions kernel equals ``move_gain_vector``."""
+
+    @staticmethod
+    def check(hg, assignment, num_blocks, locked, targets):
+        flat = FlatPartitionState.from_assignment(hg, assignment, num_blocks)
+        obj = PartitionState.from_assignment(hg, assignment, num_blocks)
+        kernel = flat_gain_kernel(flat, locked)
+        for cell, cell_targets in enumerate(targets):
+            got = kernel(cell, assignment[cell], cell_targets)
+            assert got == [
+                move_gain_vector(obj, cell, t, locked) for t in cell_targets
+            ]
+            assert got == [
+                move_gain_vector(flat, cell, t, locked) for t in cell_targets
+            ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(locked_flat_states())
+    def test_matches_move_gain_vector(self, case):
+        self.check(*case)
+
+    def test_span2_other_block_not_a_target(self):
+        # Net (0, 1) spans blocks {0, 2}; only block 1 is a target, so
+        # cell 0's +1 toward block 2 must not leak into block 1.
+        hg = Hypergraph([1, 1, 1], [(0, 1), (0, 2)])
+        state = FlatPartitionState.from_assignment(hg, [0, 2, 1])
+        locked = [{}, {}]
+        kernel = flat_gain_kernel(state, locked)
+        assert kernel(0, 0, [1]) == [(1, 0)]
+        assert kernel(0, 0, [1, 2]) == [(1, 0), (1, 0)]
+        self.check(hg, [0, 2, 1], 3, locked, [[1], [], [2, 0]])
+
+    def test_level2_blocked_by_locked_companion(self):
+        # Net (0, 1, 2): two pins in block 0, one in block 1.  The
+        # look-ahead credit toward block 1 needs both block-0 pins free.
+        hg = Hypergraph([1, 1, 1], [(0, 1, 2)])
+        state = FlatPartitionState.from_assignment(hg, [0, 0, 1], 3)
+        kernel = flat_gain_kernel(state, [{}])
+        assert kernel(0, 0, [1, 2]) == [(0, 1), (0, 0)]
+        locked = [{0: 1}]
+        kernel = flat_gain_kernel(state, locked)
+        assert kernel(0, 0, [1, 2]) == [(0, 0), (0, 0)]
+        self.check(hg, [0, 0, 1], 3, locked, [[2, 1], [1], [0, 2]])
