@@ -41,6 +41,7 @@ from .core import (
     DEFAULT_CONFIG,
     CheckpointManager,
     FpartPartitioner,
+    OversizedCellError,
     PartitioningError,
     device_by_name,
     fpart,
@@ -1568,8 +1569,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
     User-facing failures become one-line ``fpart: error: ...`` messages
-    on stderr with sysexits-style codes (65 = malformed input, 66 =
-    missing file, 70 = partitioning failure) — never a traceback.
+    on stderr with sysexits-style codes (65 = malformed input or a cell
+    larger than the device, 66 = missing file, 70 = partitioning
+    failure) — never a traceback.
     """
     args = build_parser().parse_args(argv)
     handlers = {
@@ -1606,6 +1608,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as error:
         print(f"fpart: error: {error}", file=sys.stderr)
         return EXIT_NOINPUT
+    except OversizedCellError as error:
+        # An input property, not a search failure.
+        print(f"fpart: error: {error}", file=sys.stderr)
+        return EXIT_DATAERR
     except PartitioningError as error:
         print(f"fpart: error: {error}", file=sys.stderr)
         return EXIT_SOFTWARE

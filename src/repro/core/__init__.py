@@ -30,6 +30,7 @@ from .exceptions import (
     BudgetExhaustedError,
     CheckpointError,
     IterationLimitError,
+    OversizedCellError,
     PartitioningError,
     UnpartitionableError,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "partition_heterogeneous",
     "PartitioningError",
     "UnpartitionableError",
+    "OversizedCellError",
     "IterationLimitError",
     "BudgetExhaustedError",
     "CheckpointError",

@@ -5,6 +5,7 @@ from __future__ import annotations
 __all__ = [
     "PartitioningError",
     "UnpartitionableError",
+    "OversizedCellError",
     "BudgetExhaustedError",
     "IterationLimitError",
     "CheckpointError",
@@ -21,6 +22,14 @@ class UnpartitionableError(PartitioningError):
     Typical causes: a single cell bigger than ``S_MAX``, or a remainder
     reduced to one infeasible cell (the paper's method has no replication
     to fall back on).
+    """
+
+
+class OversizedCellError(UnpartitionableError):
+    """A single cell is larger than the device capacity ``S_MAX``.
+
+    A property of the input netlist/device pair, detected before any
+    search runs (the CLI reports it as a data error, exit 65).
     """
 
 

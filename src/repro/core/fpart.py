@@ -63,6 +63,7 @@ from .cost import CostEvaluator, SolutionCost, make_evaluator
 from .device import Device
 from .exceptions import (
     BudgetExhaustedError,
+    OversizedCellError,
     UnpartitionableError,
 )
 from .feasibility import Feasibility, block_is_feasible, classify
@@ -235,7 +236,7 @@ class FpartPartitioner:
     ) -> None:
         for c in range(hg.num_cells):
             if hg.cell_size(c) > device.s_max:
-                raise UnpartitionableError(
+                raise OversizedCellError(
                     f"cell {c} (size {hg.cell_size(c)}) exceeds device "
                     f"capacity S_MAX={device.s_max}"
                 )
@@ -351,7 +352,8 @@ class FpartPartitioner:
         Returns an :class:`FpartResult` whose :attr:`~FpartResult.status`
         says how the run ended.  In the default (non-strict) mode this
         method only raises for *pre-run* defects — an
-        :class:`UnpartitionableError` from the constructor's oversized
+        :class:`~repro.core.exceptions.OversizedCellError` (an
+        :class:`UnpartitionableError`) from the constructor's oversized
         cell check, or a :class:`~repro.core.exceptions.CheckpointError`
         for a mismatched ``resume_from`` snapshot.  Everything that goes
         wrong *during* the search degrades gracefully instead: the state

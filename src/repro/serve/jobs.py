@@ -91,8 +91,10 @@ class JobSpec:
     def validate(self) -> None:
         if not self.netlist:
             raise JobError("job spec requires a netlist path")
-        if not (0.0 <= float(self.delta) <= 1.0):
-            raise JobError(f"delta must be in [0, 1], got {self.delta}")
+        # The worker's Device demands 0 < delta <= 1; reject here so a
+        # bad filling ratio is a 400 at admission, not a failed job.
+        if not (0.0 < float(self.delta) <= 1.0):
+            raise JobError(f"delta must be in (0, 1], got {self.delta}")
         if not isinstance(self.config, dict):
             raise JobError("config overrides must be a mapping")
         if not self.tenant:

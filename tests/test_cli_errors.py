@@ -5,6 +5,7 @@ flags (``--deadline`` / ``--max-iterations`` / ``--strict`` /
 import pytest
 
 from repro.cli import main
+from repro.hypergraph import Hypergraph, write_hgr
 
 
 @pytest.fixture
@@ -58,6 +59,17 @@ class TestExitCodes:
         code = main(["partition", str(netlist_file), "--resume"])
         assert code == 70
         assert "--resume requires --checkpoint" in capsys.readouterr().err
+
+    def test_oversized_cell_is_65(self, tmp_path, capsys):
+        # A cell bigger than S_MAX is a property of the input, not a
+        # partitioning failure.
+        path = tmp_path / "big.hgr"
+        write_hgr(Hypergraph([1, 500, 1], [(0, 1), (1, 2)]), path)
+        code = main(["partition", str(path), "--device", "XC3020"])
+        assert code == 65
+        err = capsys.readouterr().err
+        assert "exceeds device capacity" in err
+        assert "Traceback" not in err
 
     def test_verify_missing_assignment_is_65(
         self, netlist_file, tmp_path, capsys

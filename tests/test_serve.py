@@ -196,6 +196,9 @@ class TestJobStateMachine:
             JobSpec.from_dict({"netlist": ""})
         with pytest.raises(JobError, match="delta"):
             JobSpec.from_dict({"netlist": "x", "delta": 2.0})
+        with pytest.raises(JobError, match="delta"):
+            JobSpec.from_dict({"netlist": "x", "delta": 0.0})
+        assert JobSpec.from_dict({"netlist": "x", "delta": 1.0}).delta == 1.0
 
     def test_job_roundtrips_through_dict(self):
         job = make_job(tenant="team-a", priority=2)
@@ -402,6 +405,10 @@ class TestServiceLifecycle:
             )["status"]
             == 400
         )
+        # A filling ratio the worker's Device would reject.
+        zero = service.submit({"netlist": str(netlist_file), "delta": 0.0})
+        assert zero["status"] == 400
+        assert "delta" in zero["error"]
 
     def test_crash_retries_then_succeeds(self, service, netlist_file):
         response = service.submit(
