@@ -22,11 +22,10 @@ Measures two things and writes ``BENCH_perf.json`` at the repo root
    over the same recorded move trace on a mid-run FPART state, and the
    harness fails (exit 1) if the speedup drops below the floor.
 
-3. **Flat-core case** (schema 5) — the flat (CSR) substrate against the
-   object substrate: whole-run wall times with assignment/cost
-   bit-identity asserted, plus the fused flat evaluator's per-move
-   window against both the object incremental path and the pre-change
-   full sweep (keys verified bitwise equal move-for-move first).
+3. **Flat-core case** (schema 9) — the engine's fused per-move protocol
+   (one listener call refreshes the aggregates *and* the key, read from
+   :attr:`last_key_cell`) against the pre-change full sweep, keys
+   verified bitwise equal move-for-move first.
 
 4. **Serve-obs case** (schema 6) — the wall-clock overhead of service
    observability (span tracing, /metrics, journalled span ids) on
@@ -38,14 +37,6 @@ Measures two things and writes ``BENCH_perf.json`` at the repo root
    from a background thread, so both arms must stay bit-identical; the
    measured cost is GIL contention from the sampler thread waking
    ``hz`` times a second.
-
-6. **Constructive-flat case** (schema 8) — the flat constructive
-   builders (``repro.initial.flat_build``) against the object oracles:
-   whole-run walls per backend with assignment/cost bit-identity
-   asserted and the ``fpart.phase.bipartition`` share recorded (the
-   phase-table evidence that the constructive share shrank), plus a
-   builder-call window (all three builders on the full circuit cell
-   set, subsets asserted equal) whose aggregate speedup is gated.
 
 Cross-PR trajectory: commit the refreshed ``BENCH_perf.json`` whenever
 the numbers move materially; ``git log -p BENCH_perf.json`` then shows
@@ -81,8 +72,6 @@ from repro.core import (  # noqa: E402
     device_by_name,
     fpart,
 )
-from repro.core.backend import make_state  # noqa: E402
-from repro.core.flat_cost import FlatIncrementalCostEvaluator  # noqa: E402
 
 #: Minimum acceptable evaluator-path speedup (the acceptance bar) on
 #: the canonical s15850 workload (k=7 blocks).  The legacy sweep is
@@ -108,31 +97,9 @@ SMOKE_GUARD_OVERHEAD_CEILING_PCT = 10.0
 METRICS_OVERHEAD_CEILING_PCT = 2.0
 SMOKE_METRICS_OVERHEAD_CEILING_PCT = 10.0
 
-#: Minimum acceptable flat-backend fused-evaluator per-move speedup over
-#: the object backend's incremental evaluator, measured back-to-back in
-#: the same process (same trace, same machine conditions).  The object
-#: incremental path is already within ~2x of the CPython interpreter
-#: floor for this much semantic work, so the honest headroom here is
-#: bounded; the 3x bar of the flat-core acceptance criterion is carried
-#: by ``FLAT_VS_FULL_SWEEP_FLOOR`` below (the evaluator hot path as the
-#: ``evaluator_path`` case has always defined its baseline).
-FLAT_SPEEDUP_FLOOR = 1.5
-SMOKE_FLAT_SPEEDUP_FLOOR = 1.15
-
-#: Minimum acceptable flat fused-evaluator speedup over the pre-change
-#: full O(k) sweep (the ``evaluator_path`` baseline).
+#: Minimum acceptable fused-protocol speedup over the pre-change full
+#: O(k) sweep (the ``evaluator_path`` baseline).
 FLAT_VS_FULL_SWEEP_FLOOR = 3.0
-
-#: Minimum acceptable flat constructive-builder window speedup over the
-#: object builders (aggregate across ratio_cut, greedy_merge and
-#: seed_grow on the full circuit cell set).  The object builders spend
-#: their time in per-move ``max()`` scans over dict frontiers; the flat
-#: builders replace those with bucketed O(1) selection on the CSR
-#: mirrors, so the win grows with circuit size — the smoke floor is
-#: lower because s9234's frontiers are small enough that fixed Python
-#: call overhead dilutes the asymptotic win.
-CONSTRUCTIVE_SPEEDUP_FLOOR = 2.0
-SMOKE_CONSTRUCTIVE_SPEEDUP_FLOOR = 1.15
 
 #: Maximum acceptable wall-clock overhead of service observability
 #: (spans + metrics + journalled span ids) on the serve path, in
@@ -290,128 +257,52 @@ def bench_evaluator_path(
 
 
 def bench_flat_core(
-    workloads,
+    circuit: str = "s15850",
+    device_name: str = "XC3042",
     moves: int = 20000,
-    floor: float = FLAT_SPEEDUP_FLOOR,
     vs_full_sweep_floor: float = FLAT_VS_FULL_SWEEP_FLOOR,
 ) -> Dict:
-    """Flat (CSR) substrate: whole-run bit-identity + fused window.
+    """Fused per-move window against the pre-change full sweep.
 
-    Two measurements (DESIGN.md section 9):
-
-    1. **Whole-run rows** — full FPART runs under ``backend="flat"`` and
-       ``backend="object"`` on every workload; the assignments and final
-       cost keys must be identical (the substrate must never change a
-       bit), with both wall times recorded.
-    2. **Fused per-move window** — on the largest workload's mid-run
-       state, the per-move evaluator work of three paths over one shared
-       recorded trace: the pre-change full O(k) sweep, the object
-       backend's incremental refresh + key, and the flat backend's fused
-       listener (one call refreshes aggregates *and* the key; engines
-       read :attr:`last_key_cell`).  Keys are verified bitwise equal
-       move-for-move before anything is timed.
+    On the workload's mid-run state, the per-move evaluator work of two
+    paths over one recorded trace (DESIGN.md section 9): the full O(k)
+    sweep, and the incremental evaluator's fused listener as the Sanchis
+    engine drives it — one call refreshes the aggregates *and* the key,
+    which the engine reads from :attr:`last_key_cell`.  Keys are
+    verified bitwise equal move-for-move before anything is timed.
     """
-    runs: List[Dict] = []
-    for circuit, device_name in workloads:
-        hg = mcnc_circuit(circuit)
-        device = device_by_name(device_name)
-        walls = {}
-        results = {}
-        for backend in ("object", "flat"):
-            start = time.perf_counter()
-            results[backend] = fpart(
-                hg, device, config=FpartConfig(backend=backend)
-            )
-            walls[backend] = time.perf_counter() - start
-        identical = (
-            list(results["flat"].assignment)
-            == list(results["object"].assignment)
-            and results["flat"].cost.key == results["object"].cost.key
-        )
-        runs.append(
-            {
-                "circuit": circuit,
-                "device": device_name,
-                "devices_used": results["flat"].num_devices,
-                "wall_s_object": round(walls["object"], 4),
-                "wall_s_flat": round(walls["flat"], 4),
-                "assignments_identical": identical,
-            }
-        )
-        print(
-            f"flat-core run {circuit}/{device_name}: "
-            f"object={walls['object']:.2f}s flat={walls['flat']:.2f}s "
-            f"identical={identical}"
-        )
-        if not identical:
-            raise SystemExit(
-                f"FATAL: {circuit}/{device_name} diverged between the "
-                "flat and object backends"
-            )
-
-    circuit, device_name = workloads[-1]
-    hg, device, state_obj, k, trace = replay_fixture(
-        circuit, device_name, moves
-    )
+    hg, device, state, k, trace = replay_fixture(circuit, device_name, moves)
     m = device.lower_bound(hg)
     config = FpartConfig()
-    baseline = state_obj.assignment()
-    state_flat = make_state(hg, baseline, k, "flat")
+    baseline = state.assignment()
     perf_counter = time.perf_counter
 
     legacy = CostEvaluator(device, config, m, hg.num_terminals)
-    inc = IncrementalCostEvaluator(device, config, m, hg.num_terminals)
-    attach_untracked(inc, state_obj)
-    fused = FlatIncrementalCostEvaluator(device, config, m, hg.num_terminals)
-    attach_untracked(fused, state_flat)
-    fused.set_remainder(0)
+    fused = IncrementalCostEvaluator(device, config, m, hg.num_terminals)
 
-    # Bitwise key identity move-for-move, before any timing.
-    keys_identical = True
-    for cell, to_block in trace:
-        f = state_obj.block_of(cell)
-        state_obj.move(cell, to_block)
-        state_flat.move(cell, to_block)
-        inc.on_move(f, to_block)
-        fused.on_move(f, to_block)
-        if inc.current_key(0) != fused.last_key_cell[0]:
-            keys_identical = False
-            break
-    if not keys_identical:
-        raise SystemExit(
-            "FATAL: flat fused evaluator key diverged from the object "
-            "incremental evaluator"
-        )
-
-    def reset_obj() -> None:
-        state_obj.restore(baseline)
-        attach_untracked(inc, state_obj)
-
-    def reset_flat() -> None:
-        state_flat.restore(baseline)
-        attach_untracked(fused, state_flat)
+    def reset() -> None:
+        state.restore(baseline)
+        attach_untracked(fused, state)
         fused.set_remainder(0)
 
-    reset_obj()
-    reset_flat()
+    # Bitwise key identity move-for-move, before any timing.
+    reset()
+    for cell, to_block in trace:
+        from_block = state.block_of(cell)
+        state.move(cell, to_block)
+        fused.on_move(from_block, to_block)
+        if fused.last_key_cell[0] != legacy.evaluate(state, 0).key:
+            raise SystemExit(
+                "FATAL: fused evaluator key diverged from the full sweep"
+            )
+    reset()
 
     def legacy_loop() -> float:
         total = 0.0
         for cell, to_block in trace:
-            state_obj.move(cell, to_block)
+            state.move(cell, to_block)
             start = perf_counter()
-            legacy.evaluate(state_obj, 0).key  # noqa: B018 — timed
-            total += perf_counter() - start
-        return total
-
-    def object_loop() -> float:
-        total = 0.0
-        for cell, to_block in trace:
-            from_block = state_obj.block_of(cell)
-            state_obj.move(cell, to_block)
-            start = perf_counter()
-            inc.on_move(from_block, to_block)
-            inc.current_key(0)
+            legacy.evaluate(state, 0).key  # noqa: B018 — timed
             total += perf_counter() - start
         return total
 
@@ -420,18 +311,16 @@ def bench_flat_core(
         key_cell = fused.last_key_cell
         total = 0.0
         for cell, to_block in trace:
-            from_block = state_flat.block_of(cell)
-            state_flat.move(cell, to_block)
+            from_block = state.block_of(cell)
+            state.move(cell, to_block)
             start = perf_counter()
             on_move(from_block, to_block)
             key_cell[0]  # noqa: B018 — the engine's per-move key read
             total += perf_counter() - start
         return total
 
-    t_legacy = min_window(legacy_loop, reset_obj)
-    t_obj = min_window(object_loop, reset_obj)
-    t_fused = min_window(fused_loop, reset_flat)
-    inc.detach()
+    t_legacy = min_window(legacy_loop, reset)
+    t_fused = min_window(fused_loop, reset)
     fused.detach()
 
     t_fused = max(t_fused, 1e-9)
@@ -441,189 +330,19 @@ def bench_flat_core(
         "blocks": k,
         "moves": moves,
         "per_move_us_full_sweep": round(t_legacy / moves * 1e6, 3),
-        "per_move_us_object_incremental": round(t_obj / moves * 1e6, 3),
-        "per_move_us_flat_fused": round(t_fused / moves * 1e6, 3),
-        "speedup_vs_object": round(t_obj / t_fused, 2),
+        "per_move_us_fused": round(t_fused / moves * 1e6, 3),
         "speedup_vs_full_sweep": round(t_legacy / t_fused, 2),
-        "keys_identical": keys_identical,
-        "floor": floor,
+        "keys_identical": True,
         "vs_full_sweep_floor": vs_full_sweep_floor,
     }
     print(
         f"flat-core window {circuit}/{device_name} (k={k}, {moves} moves): "
         f"full-sweep={window['per_move_us_full_sweep']}us/move "
-        f"object={window['per_move_us_object_incremental']}us/move "
-        f"flat={window['per_move_us_flat_fused']}us/move "
-        f"speedup {window['speedup_vs_object']}x vs object "
-        f"(floor {floor}x), {window['speedup_vs_full_sweep']}x vs "
-        f"full sweep (floor {vs_full_sweep_floor}x)"
+        f"fused={window['per_move_us_fused']}us/move "
+        f"speedup {window['speedup_vs_full_sweep']}x "
+        f"(floor {vs_full_sweep_floor}x)"
     )
-    return {"runs": runs, "window": window}
-
-
-def bench_constructive_flat(
-    workloads,
-    floor: float = CONSTRUCTIVE_SPEEDUP_FLOOR,
-    repeats: int = 3,
-) -> Dict:
-    """Flat constructive builders: whole-run phase share + builder window.
-
-    Two measurements (DESIGN.md section 13):
-
-    1. **Whole-run rows** — full FPART runs per backend on every
-       workload with a live :class:`MetricsRegistry`, so each row
-       records the wall time *and* the ``fpart.phase.bipartition``
-       share of it.  Assignments and final cost keys must be identical
-       (the flat builders must never change a bit); the share columns
-       are the phase-table evidence that the constructive fraction of
-       the run shrank under ``backend="flat"``.
-    2. **Builder window** — each of the three constructive builders
-       (ratio_cut, greedy_merge, seed_grow) called on the largest
-       workload's full cell set, object vs flat, best of ``repeats``.
-       Subsets are asserted equal per builder before anything is
-       gated; the aggregate speedup across the three builders carries
-       the floor (per-builder rows are reported for attribution).
-    """
-    from repro.core.fpart import FpartPartitioner
-    from repro.initial import (
-        greedy_merge_bipartition,
-        ratio_cut_bipartition,
-        seed_grow_bipartition,
-        FLAT_BUILDERS,
-    )
-    from repro.obs import MetricsRegistry
-
-    object_builders = {
-        "ratio_cut": ratio_cut_bipartition,
-        "greedy_merge": greedy_merge_bipartition,
-        "seed_grow": seed_grow_bipartition,
-    }
-
-    runs: List[Dict] = []
-    for circuit, device_name in workloads:
-        hg = mcnc_circuit(circuit)
-        device = device_by_name(device_name)
-        walls, results, shares = {}, {}, {}
-        for backend in ("object", "flat"):
-            registry = MetricsRegistry()
-            start = time.perf_counter()
-            results[backend] = FpartPartitioner(
-                hg,
-                device,
-                FpartConfig(backend=backend),
-                metrics=registry,
-            ).run()
-            walls[backend] = time.perf_counter() - start
-            timers = registry.snapshot()["timers"]
-            bip = timers.get(
-                "fpart.phase.bipartition", {"total_seconds": 0.0}
-            )["total_seconds"]
-            shares[backend] = bip / max(walls[backend], 1e-9) * 100.0
-        identical = (
-            list(results["flat"].assignment)
-            == list(results["object"].assignment)
-            and results["flat"].cost.key == results["object"].cost.key
-        )
-        runs.append(
-            {
-                "circuit": circuit,
-                "device": device_name,
-                "devices_used": results["flat"].num_devices,
-                "wall_s_object": round(walls["object"], 4),
-                "wall_s_flat": round(walls["flat"], 4),
-                "constructive_share_pct_object": round(shares["object"], 1),
-                "constructive_share_pct_flat": round(shares["flat"], 1),
-                "assignments_identical": identical,
-            }
-        )
-        print(
-            f"constructive-flat run {circuit}/{device_name}: "
-            f"object={walls['object']:.2f}s "
-            f"({shares['object']:.0f}% constructive) "
-            f"flat={walls['flat']:.2f}s "
-            f"({shares['flat']:.0f}% constructive) "
-            f"identical={identical}"
-        )
-        if not identical:
-            raise SystemExit(
-                f"FATAL: {circuit}/{device_name} diverged between the "
-                "flat and object constructive builders"
-            )
-
-    circuit, device_name = workloads[-1]
-    hg = mcnc_circuit(circuit)
-    device = device_by_name(device_name)
-    cells = list(range(hg.num_cells))
-    perf_counter = time.perf_counter
-
-    builders: List[Dict] = []
-    t_object_total = 0.0
-    t_flat_total = 0.0
-    steps_total = 0
-    for name, obj_fn in object_builders.items():
-        flat_fn = FLAT_BUILDERS[name]
-        trace: List = []
-        flat_subset = flat_fn(hg, cells, device, trace=trace)
-        obj_subset = obj_fn(hg, cells, device)
-        if obj_subset != flat_subset:
-            raise SystemExit(
-                f"FATAL: {name} subset diverged between the flat and "
-                f"object builders on {circuit}/{device_name}"
-            )
-        steps = len(trace)
-
-        def timed(fn) -> float:
-            start = perf_counter()
-            fn(hg, cells, device)
-            return perf_counter() - start
-
-        t_obj = min_window(
-            lambda fn=obj_fn: timed(fn), lambda: None, repeats=repeats
-        )
-        t_flat = min_window(
-            lambda fn=flat_fn: timed(fn), lambda: None, repeats=repeats
-        )
-        t_object_total += t_obj
-        t_flat_total += t_flat
-        steps_total += steps
-        builders.append(
-            {
-                "builder": name,
-                "steps": steps,
-                "wall_s_object": round(t_obj, 4),
-                "wall_s_flat": round(t_flat, 4),
-                "speedup": round(t_obj / max(t_flat, 1e-9), 2),
-            }
-        )
-
-    t_flat_total = max(t_flat_total, 1e-9)
-    window = {
-        "circuit": circuit,
-        "device": device_name,
-        "cells": len(cells),
-        "steps": steps_total,
-        "builders": builders,
-        "per_step_us_object": round(
-            t_object_total / max(steps_total, 1) * 1e6, 2
-        ),
-        "per_step_us_flat": round(
-            t_flat_total / max(steps_total, 1) * 1e6, 2
-        ),
-        "speedup_vs_object": round(t_object_total / t_flat_total, 2),
-        "floor": floor,
-    }
-    per_builder = " ".join(
-        f"{row['builder']}={row['speedup']}x" for row in builders
-    )
-    print(
-        f"constructive-flat window {circuit}/{device_name} "
-        f"({len(cells)} cells, {steps_total} steps): "
-        f"object={window['per_step_us_object']}us/step "
-        f"flat={window['per_step_us_flat']}us/step "
-        f"speedup {window['speedup_vs_object']}x vs object "
-        f"(floor {floor}x; {per_builder})"
-    )
-    return {"runs": runs, "window": window}
+    return window
 
 
 def bench_guard_overhead(
@@ -1098,26 +817,11 @@ def main(argv=None) -> int:
     )
     eval_circuit = workloads[-1][0]
 
-    flat_floor = (
-        SMOKE_FLAT_SPEEDUP_FLOOR if args.smoke else FLAT_SPEEDUP_FLOOR
-    )
-
-    constructive_floor = (
-        SMOKE_CONSTRUCTIVE_SPEEDUP_FLOOR
-        if args.smoke
-        else CONSTRUCTIVE_SPEEDUP_FLOOR
-    )
-
     runs = bench_whole_runs(workloads)
     evaluator = bench_evaluator_path(
         eval_circuit, "XC3042", moves=moves, floor=floor
     )
-    flat_core = bench_flat_core(workloads, moves=moves, floor=flat_floor)
-    constructive = bench_constructive_flat(
-        workloads,
-        floor=constructive_floor,
-        repeats=2 if args.smoke else 3,
-    )
+    flat_core = bench_flat_core(eval_circuit, "XC3042", moves=moves)
     guard = bench_guard_overhead(
         eval_circuit, "XC3042", moves=moves, ceiling_pct=guard_ceiling
     )
@@ -1154,7 +858,7 @@ def main(argv=None) -> int:
     )
 
     report = {
-        "schema": 8,
+        "schema": 9,
         "generated_utc": time.strftime(
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
         ),
@@ -1164,7 +868,6 @@ def main(argv=None) -> int:
         "whole_runs": runs,
         "evaluator_path": evaluator,
         "flat_core": flat_core,
-        "constructive_flat": constructive,
         "guard_overhead": guard,
         "metrics_overhead": metrics_row,
         "parallel_scaling": parallel_row,
@@ -1192,27 +895,11 @@ def main(argv=None) -> int:
             f"below the {floor}x floor"
         )
         failed = True
-    window = flat_core["window"]
-    if window["speedup_vs_object"] < flat_floor:
+    if flat_core["speedup_vs_full_sweep"] < FLAT_VS_FULL_SWEEP_FLOOR:
         print(
-            f"FAIL: flat-core speedup {window['speedup_vs_object']}x "
-            f"vs the object incremental path is below the "
-            f"{flat_floor}x floor"
-        )
-        failed = True
-    if window["speedup_vs_full_sweep"] < window["vs_full_sweep_floor"]:
-        print(
-            f"FAIL: flat-core speedup {window['speedup_vs_full_sweep']}x "
+            f"FAIL: flat-core speedup {flat_core['speedup_vs_full_sweep']}x "
             f"vs the full sweep is below the "
-            f"{window['vs_full_sweep_floor']}x floor"
-        )
-        failed = True
-    cwindow = constructive["window"]
-    if cwindow["speedup_vs_object"] < constructive_floor:
-        print(
-            f"FAIL: constructive-flat speedup "
-            f"{cwindow['speedup_vs_object']}x vs the object builders "
-            f"is below the {constructive_floor}x floor"
+            f"{FLAT_VS_FULL_SWEEP_FLOOR}x floor"
         )
         failed = True
     if guard["overhead_pct"] > guard_ceiling:

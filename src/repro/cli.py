@@ -122,14 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the device filling ratio",
     )
     p.add_argument(
-        "--backend",
-        choices=["flat", "object"],
-        default=None,
-        help="partition-core substrate: 'flat' (CSR arrays, default) or "
-        "'object' (reference oracle); results are bit-identical "
-        "(fpart only)",
-    )
-    p.add_argument(
         "--output",
         default=None,
         help="write 'cell block' lines to this file",
@@ -654,8 +646,6 @@ def _fpart_config(args: argparse.Namespace):
         overrides["seed"] = args.seed
     if args.builder_jobs != 1:
         overrides["builder_jobs"] = args.builder_jobs
-    if getattr(args, "backend", None) is not None:
-        overrides["backend"] = args.backend
     if not overrides:
         return DEFAULT_CONFIG
     return dataclasses.replace(DEFAULT_CONFIG, **overrides)
@@ -960,11 +950,11 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     if args.algorithm != "fpart" and (
         args.metrics or args.trace or args.runs_dir or args.progress
         or args.prof or args.restarts != 1 or args.seed
-        or args.builder_jobs != 1 or args.backend is not None
+        or args.builder_jobs != 1
     ):
         raise PartitioningError(
             "--metrics/--trace/--runs-dir/--progress/--prof/--restarts/"
-            "--seed/--builder-jobs/--backend require --algorithm fpart"
+            "--seed/--builder-jobs require --algorithm fpart"
         )
     if args.restarts < 1:
         raise PartitioningError("--restarts must be at least 1")
@@ -1034,8 +1024,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
                 f"({moves} applied moves, whole-run wall / moves)"
             )
         # Constructive steps: one sweep move or one grower pick per
-        # step, on either backend (the flat sweep's selection happens
-        # inside its move; the flat grower mirrors the object pick).
+        # step (the sweep's selection happens inside its move).
         steps = sum(
             h.calls
             for h in profile_report.all_calls

@@ -70,9 +70,6 @@ def config_digest(config: FpartConfig) -> str:
         # Execution-layer knob: parallel candidate construction is
         # bit-identical to serial, so it must not fork run lineages.
         builder_jobs=1,
-        # Substrate knob: the flat and object backends are bit-identical
-        # in every observable, so checkpoints are interchangeable.
-        backend="flat",
     )
     return hashlib.sha256(repr(masked).encode("utf-8")).hexdigest()[:16]
 

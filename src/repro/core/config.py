@@ -104,14 +104,6 @@ class FpartConfig:
     instead of re-sweeping all blocks after every move.  Costs are
     bit-identical either way (see ``repro.core.cost``); False exists for
     the perf-regression bench and as a paranoia fallback."""
-    backend: str = "flat"
-    """Partition-core substrate: ``flat`` (CSR hypergraph view, flat
-    ``net * stride + block`` counter arrays, fused cost evaluator — the
-    fast default) or ``object`` (the original dicts-and-sets structures,
-    kept as the reference oracle).  Both backends are bit-identical in
-    every observable — assignments, costs, tie-breaks — which the
-    differential harness (``repro.testing.differential``) enforces, so
-    the choice only affects speed."""
     balance_tie_break: bool = True
     """Among equal-gain moves prefer the one maximizing S_FROM - S_TO."""
 
@@ -180,10 +172,6 @@ class FpartConfig:
         if self.gain_mode not in ("cut", "pin"):
             raise ValueError(
                 f"gain_mode must be 'cut' or 'pin', got {self.gain_mode!r}"
-            )
-        if self.backend not in ("flat", "object"):
-            raise ValueError(
-                f"backend must be 'flat' or 'object', got {self.backend!r}"
             )
         if self.pass_stall_limit is not None and self.pass_stall_limit < 1:
             raise ValueError("pass_stall_limit must be positive or None")

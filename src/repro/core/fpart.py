@@ -50,7 +50,6 @@ from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.progress import HeartbeatEmitter
 from ..obs.trace import NULL_TRACE, TraceWriter, cost_fields
 from ..partition import PartitionState
-from .backend import make_state, single_block_state
 from .checkpoint import (
     CheckpointManager,
     RunCheckpoint,
@@ -294,9 +293,7 @@ class FpartPartitioner:
             return state
         renumber = {old: new for new, old in enumerate(nonempty)}
         assignment = [renumber[b] for b in state.assignment()]
-        return make_state(
-            self.hg, assignment, len(nonempty), self.config.backend
-        )
+        return PartitionState(self.hg, assignment, len(nonempty))
 
     # -- checkpoint plumbing -------------------------------------------
 
@@ -337,9 +334,7 @@ class FpartPartitioner:
 
     def _restore_best(self, best: _BestSolution) -> Tuple[PartitionState, int]:
         """Rebuild the best-so-far solution as a fresh consistent state."""
-        state = make_state(
-            self.hg, best.assignment, best.num_blocks, self.config.backend
-        )
+        state = PartitionState(self.hg, best.assignment, best.num_blocks)
         return state, best.remainder
 
     # ------------------------------------------------------------------
@@ -408,9 +403,7 @@ class FpartPartitioner:
         if resume_from is not None:
             cp = resume_from
             cp.validate_for(circuit, repr(device), config)
-            state = make_state(
-                hg, cp.assignment, cp.num_blocks, config.backend
-            )
+            state = PartitionState(hg, cp.assignment, cp.num_blocks)
             remainder = cp.remainder
             iteration = cp.iteration
             guard.preload(
@@ -422,8 +415,8 @@ class FpartPartitioner:
                 # Replay-exact resume for seeded runs: continue the
                 # Mersenne stream where the checkpoint froze it.
                 self._rng.setstate(rng_state_from_json(cp.rng_state))
-            best_state = make_state(
-                hg, cp.best_assignment, cp.best_num_blocks, config.backend
+            best_state = PartitionState(
+                hg, cp.best_assignment, cp.best_num_blocks
             )
             best.offer(
                 evaluator.evaluate(best_state, cp.best_remainder),
@@ -435,7 +428,7 @@ class FpartPartitioner:
                 circuit, device.name, iteration, state.num_blocks,
             )
         else:
-            state = single_block_state(hg, config.backend)
+            state = PartitionState.single_block(hg)
             remainder = 0
             iteration = 0
         guard.start()

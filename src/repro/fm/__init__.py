@@ -1,11 +1,11 @@
 """Fiduccia–Mattheyses bipartitioning: gain buckets, gains, refinement."""
 
 from .bipartition import FmBipartitioner, FmResult, fm_refine
-from .buckets import GainBuckets
+from .buckets import FlatGainBuckets
 from .gains import max_possible_gain, move_gain, move_gain_vector, pin_gain
 
 __all__ = [
-    "GainBuckets",
+    "FlatGainBuckets",
     "move_gain",
     "move_gain_vector",
     "pin_gain",

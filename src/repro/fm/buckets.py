@@ -8,156 +8,28 @@ paper retains from the classical algorithm.
 Gains are bounded by the maximum cell degree: a cell incident to ``d``
 nets has gain in ``[-d, +d]``.
 
-Two implementations share the interface:
-
-* :class:`GainBuckets` — list-of-stacks plus a membership dict (the
-  original object structure; ``remove`` is O(bucket length) because
-  ``list.remove`` scans).
-* :class:`FlatGainBuckets` — the classical FM *intrusive doubly-linked
-  free lists* over flat int arrays (``prev``/``next`` indexed by cell,
-  one head per gain), no node objects, O(1) ``remove``.  Selected by the
-  flat backend; iteration and tie-break order (LIFO: most recently
-  inserted first) is identical to :class:`GainBuckets`, which the
-  equivalence suite in ``tests/test_flat_core.py`` asserts over random
-  op sequences.
+:class:`FlatGainBuckets` realizes the stacks as the classical FM
+*intrusive doubly-linked free lists* over flat int arrays (``prev`` /
+``next`` indexed by cell, one head per gain): no node objects, O(1)
+``remove``.  ``tests/test_buckets.py`` checks its iteration and
+tie-break order against a plain list-of-stacks model over random op
+sequences.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-__all__ = ["GainBuckets", "FlatGainBuckets"]
-
-
-class GainBuckets:
-    """Bucket list for one move direction.
-
-    Parameters
-    ----------
-    max_gain:
-        Bound on ``|gain|``; buckets cover ``[-max_gain, +max_gain]``.
-    """
-
-    def __init__(self, max_gain: int) -> None:
-        if max_gain < 0:
-            raise ValueError("max_gain must be non-negative")
-        self.max_gain = max_gain
-        self._buckets: List[List[int]] = [
-            [] for _ in range(2 * max_gain + 1)
-        ]
-        # cell -> gain for membership/removal; a cell appears at most once.
-        self._gain_of: Dict[int, int] = {}
-        self._top = -1  # index of highest non-empty bucket, -1 when empty
-
-    def _index(self, gain: int) -> int:
-        if not -self.max_gain <= gain <= self.max_gain:
-            raise ValueError(
-                f"gain {gain} outside [-{self.max_gain}, {self.max_gain}]"
-            )
-        return gain + self.max_gain
-
-    def __len__(self) -> int:
-        return len(self._gain_of)
-
-    def __contains__(self, cell: int) -> bool:
-        return cell in self._gain_of
-
-    def gain_of(self, cell: int) -> int:
-        """Current gain of a stored cell."""
-        return self._gain_of[cell]
-
-    def insert(self, cell: int, gain: int) -> None:
-        """Insert a cell with the given gain (cell must not be present)."""
-        if cell in self._gain_of:
-            raise ValueError(f"cell {cell} already bucketed")
-        index = self._index(gain)
-        self._buckets[index].append(cell)
-        self._gain_of[cell] = gain
-        if index > self._top:
-            self._top = index
-
-    def remove(self, cell: int) -> None:
-        """Remove a cell (no-op pointer fixup happens lazily in pop/peek)."""
-        gain = self._gain_of.pop(cell)
-        self._buckets[self._index(gain)].remove(cell)
-
-    def update(self, cell: int, new_gain: int) -> None:
-        """Move a cell to a different gain bucket (re-inserted LIFO)."""
-        self.remove(cell)
-        self.insert(cell, new_gain)
-
-    def adjust(self, cell: int, delta: int) -> None:
-        """Shift a cell's gain by ``delta``."""
-        if delta:
-            self.update(cell, self._gain_of[cell] + delta)
-
-    def _settle_top(self) -> None:
-        while self._top >= 0 and not self._buckets[self._top]:
-            self._top -= 1
-
-    def peek_max(self) -> Optional[int]:
-        """Cell with the highest gain (LIFO within the bucket), or None."""
-        self._settle_top()
-        if self._top < 0:
-            return None
-        return self._buckets[self._top][-1]
-
-    def max_gain_value(self) -> Optional[int]:
-        """Highest gain currently stored, or None when empty."""
-        self._settle_top()
-        if self._top < 0:
-            return None
-        return self._top - self.max_gain
-
-    def pop_max(self) -> Optional[int]:
-        """Remove and return the highest-gain cell, or None when empty."""
-        self._settle_top()
-        if self._top < 0:
-            return None
-        cell = self._buckets[self._top].pop()
-        del self._gain_of[cell]
-        return cell
-
-    def iter_from_max(self):
-        """Yield cells from the highest gain downwards (snapshot order).
-
-        LIFO within each bucket.  Mutating the structure while iterating
-        is not supported.
-        """
-        self._settle_top()
-        for index in range(self._top, -1, -1):
-            for cell in reversed(self._buckets[index]):
-                yield cell
-
-    def iter_max_bucket(self):
-        """Yield the cells of the highest non-empty bucket only (LIFO).
-
-        Lets callers resolve secondary tie-breaks among the max-gain
-        candidates without touching lower buckets.  Mutating the
-        structure while iterating is not supported.
-        """
-        self._settle_top()
-        if self._top < 0:
-            return
-        yield from reversed(self._buckets[self._top])
-
-    def clear(self) -> None:
-        """Empty the structure."""
-        for bucket in self._buckets:
-            bucket.clear()
-        self._gain_of.clear()
-        self._top = -1
+__all__ = ["FlatGainBuckets"]
 
 
 class FlatGainBuckets:
     """Intrusive doubly-linked gain buckets over flat int arrays.
 
-    Same interface and observable behaviour as :class:`GainBuckets`, but
-    cells are linked through ``prev``/``next`` arrays indexed by cell id
-    (one list head per gain), so ``remove`` is O(1) instead of scanning
-    a Python list.  LIFO order is preserved by inserting at the head and
-    popping from the head: the head is always the most recently inserted
-    cell, exactly the element ``GainBuckets`` pops from its stack tail.
+    Cells are linked through ``prev``/``next`` arrays indexed by cell id
+    (one list head per gain), so ``remove`` is O(1).  LIFO order comes
+    from inserting at the head and popping from the head: the head is
+    always the most recently inserted cell of its bucket.
 
     Parameters
     ----------
@@ -292,9 +164,8 @@ class FlatGainBuckets:
     def iter_from_max(self):
         """Yield cells from the highest gain downwards (snapshot order).
 
-        Head-first within each bucket (most recently inserted first),
-        matching :meth:`GainBuckets.iter_from_max`.  Mutating the
-        structure while iterating is not supported.
+        Head-first within each bucket (most recently inserted first).
+        Mutating the structure while iterating is not supported.
         """
         self._settle_top()
         head = self._head
@@ -308,9 +179,10 @@ class FlatGainBuckets:
     def iter_max_bucket(self):
         """Yield the cells of the highest non-empty bucket only.
 
-        Head-first (most recently inserted first), matching
-        :meth:`GainBuckets.iter_max_bucket`.  Mutating the structure
-        while iterating is not supported.
+        Head-first (most recently inserted first).  Lets callers resolve
+        secondary tie-breaks among the max-gain candidates without
+        touching lower buckets.  Mutating the structure while iterating
+        is not supported.
         """
         self._settle_top()
         if self._top < 0:

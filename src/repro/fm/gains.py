@@ -48,36 +48,20 @@ def max_possible_gain(state: PartitionState) -> int:
 
 def move_gain(state: PartitionState, cell: int, to_block: int) -> int:
     """Level-1 gain of moving ``cell`` to ``to_block``."""
-    hg = state.hg
     from_block = state.block_of(cell)
-    gain = 0
     counts = state.flat_counts
-    if counts is not None:
-        # Flat backend: per-net block counters and spans are direct
-        # array reads instead of dict construction.
-        spans = state.flat_spans
-        stride = state.flat_stride
-        _, _, offsets, cell_nets = hg.csr.list_mirrors()
-        for e in cell_nets[offsets[cell]:offsets[cell + 1]]:
-            base = e * stride
-            count_f = counts[base + from_block]
-            span = spans[e]
-            if span == 1:
-                if count_f > 1:
-                    gain -= 1  # entirely in f with company: move cuts it
-            elif (
-                count_f == 1 and span == 2 and counts[base + to_block] > 0
-            ):
-                gain += 1  # last f pin, everything else already in t
-        return gain
-    for e in hg.nets_of(cell):
-        dist = state.net_distribution(e)
-        count_f = dist[from_block]
-        span = len(dist)
+    spans = state.flat_spans
+    stride = state.flat_stride
+    _, _, offsets, cell_nets = state.hg.csr.list_mirrors()
+    gain = 0
+    for e in cell_nets[offsets[cell]:offsets[cell + 1]]:
+        base = e * stride
+        count_f = counts[base + from_block]
+        span = spans[e]
         if span == 1:
             if count_f > 1:
                 gain -= 1  # entirely in f with company: move cuts it
-        elif count_f == 1 and span == 2 and to_block in dist:
+        elif count_f == 1 and span == 2 and counts[base + to_block] > 0:
             gain += 1  # last f pin, everything else already in t
     return gain
 
@@ -97,36 +81,16 @@ def pin_gain(state: PartitionState, cell: int, to_block: int) -> int:
     """
     hg = state.hg
     from_block = state.block_of(cell)
-    delta = 0  # change in T_f + T_t (negative is good)
     counts = state.flat_counts
-    if counts is not None:
-        spans = state.flat_spans
-        stride = state.flat_stride
-        _, _, offsets, cell_nets = hg.csr.list_mirrors()
-        for e in cell_nets[offsets[cell]:offsets[cell + 1]]:
-            base = e * stride
-            c_f = counts[base + from_block]
-            c_t = counts[base + to_block]
-            span = spans[e]
-            external = hg.is_external_net(e)
-            from_leaves = c_f == 1
-            to_enters = c_t == 0
-            if from_leaves and to_enters:
-                continue  # the pin contribution just moves: net zero
-            if from_leaves:
-                delta -= 1  # from_block stops seeing the net (span >= 2)
-                if span == 2 and not external:
-                    delta -= 1  # net collapses into to_block: pin vanishes
-            elif to_enters:
-                delta += 1  # to_block starts seeing the net
-                if span == 1 and not external:
-                    delta += 1  # from_block's internal net becomes visible
-        return -delta
-    for e in hg.nets_of(cell):
-        dist = state.net_distribution(e)
-        c_f = dist[from_block]
-        c_t = dist.get(to_block, 0)
-        span = len(dist)
+    spans = state.flat_spans
+    stride = state.flat_stride
+    _, _, offsets, cell_nets = hg.csr.list_mirrors()
+    delta = 0  # change in T_f + T_t (negative is good)
+    for e in cell_nets[offsets[cell]:offsets[cell + 1]]:
+        base = e * stride
+        c_f = counts[base + from_block]
+        c_t = counts[base + to_block]
+        span = spans[e]
         external = hg.is_external_net(e)
         from_leaves = c_f == 1
         to_enters = c_t == 0
@@ -153,45 +117,27 @@ def move_gain_vector(
 
     ``locked_in_block[e]`` maps ``block -> locked pin count`` for net
     ``e`` in the current pass (cells lock in their destination block).
+    One direction per call: the reference that the fused
+    :func:`flat_gain_kernel` is tested against.
     """
-    hg = state.hg
     from_block = state.block_of(cell)
+    counts = state.flat_counts
+    spans = state.flat_spans
+    stride = state.flat_stride
+    _, _, offsets, cell_nets = state.hg.csr.list_mirrors()
     g1 = 0
     g2 = 0
-    counts = state.flat_counts
-    if counts is not None:
-        spans = state.flat_spans
-        stride = state.flat_stride
-        _, _, offsets, cell_nets = hg.csr.list_mirrors()
-        for e in cell_nets[offsets[cell]:offsets[cell + 1]]:
-            base = e * stride
-            count_f = counts[base + from_block]
-            span = spans[e]
-            if span == 1:
-                if count_f > 1:
-                    g1 -= 1
-                    locked_f = locked_in_block[e].get(from_block, 0)
-                    if count_f > 2 or locked_f > 0:
-                        g2 -= 1  # newly cut, not recoverable in one move
-            elif span == 2 and counts[base + to_block] > 0:
-                if count_f == 1:
-                    g1 += 1
-                elif count_f == 2:
-                    locked_f = locked_in_block[e].get(from_block, 0)
-                    if locked_f == 0:
-                        g2 += 1  # one more free move uncuts the net
-        return g1, g2
-    for e in hg.nets_of(cell):
-        dist = state.net_distribution(e)
-        count_f = dist[from_block]
-        span = len(dist)
+    for e in cell_nets[offsets[cell]:offsets[cell + 1]]:
+        base = e * stride
+        count_f = counts[base + from_block]
+        span = spans[e]
         if span == 1:
             if count_f > 1:
                 g1 -= 1
                 locked_f = locked_in_block[e].get(from_block, 0)
                 if count_f > 2 or locked_f > 0:
-                    g2 -= 1  # newly cut and not recoverable in one move
-        elif span == 2 and to_block in dist:
+                    g2 -= 1  # newly cut, not recoverable in one move
+        elif span == 2 and counts[base + to_block] > 0:
             if count_f == 1:
                 g1 += 1
             elif count_f == 2:
@@ -209,7 +155,7 @@ def flat_gain_kernel(
     state: PartitionState,
     locked_in_block: Sequence[Dict[int, int]],
 ) -> GainKernel:
-    """Fused all-directions gain kernel bound to one flat-backend state.
+    """Fused all-directions gain kernel bound to one partition state.
 
     The returned function gives, for ``cell`` in ``from_block``, the
     :func:`move_gain_vector` result toward every block of ``targets`` (in

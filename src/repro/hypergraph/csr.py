@@ -16,9 +16,8 @@ once per worker anyway).
 
 Entry order is identical to the object representation — ``net_pins``
 keeps each net's pin tuple order, ``cell_nets`` keeps each cell's net
-tuple order — so flat-path algorithms iterate pins/nets in exactly the
-same sequence as object-path ones, which is part of the backend
-bit-identity contract (see ``repro.testing.differential``).
+tuple order — so code reading either form iterates pins/nets in exactly
+the same sequence, which every tie-break in the solve path relies on.
 """
 
 from __future__ import annotations

@@ -1,21 +1,13 @@
 """Constructive initial-partition creation (section 3.2)."""
 
 from .flat_build import (
-    FLAT_BUILDERS,
-    flat_greedy_merge_bipartition,
-    flat_ratio_cut_bipartition,
-    flat_seed_grow_bipartition,
+    SweepResult,
+    greedy_merge_bipartition,
+    ratio_cut_bipartition,
+    seed_grow_bipartition,
 )
-from .greedy_merge import greedy_merge_bipartition
 from .growing import GrowingBlock
 from .initial import BUILDERS, build_candidate, create_bipartition
-from .ratio_cut import (
-    SweepResult,
-    ratio_cut_bipartition,
-    ratio_cut_sweep,
-    swept_net_totals,
-)
-from .seed_grow import seed_grow_bipartition
 from .seeds import SEED_POOL_SIZE, bfs_distances_within, select_seeds
 
 __all__ = [
@@ -24,16 +16,10 @@ __all__ = [
     "select_seeds",
     "bfs_distances_within",
     "greedy_merge_bipartition",
-    "ratio_cut_sweep",
     "ratio_cut_bipartition",
-    "swept_net_totals",
     "seed_grow_bipartition",
     "SweepResult",
     "BUILDERS",
     "build_candidate",
     "create_bipartition",
-    "FLAT_BUILDERS",
-    "flat_greedy_merge_bipartition",
-    "flat_ratio_cut_bipartition",
-    "flat_seed_grow_bipartition",
 ]

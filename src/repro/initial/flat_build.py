@@ -1,65 +1,87 @@
-"""Flat CSR-backed constructive builders (``backend="flat"`` twins).
+"""Constructive builders (section 3.2) over the CSR hypergraph view.
 
-The object builders in ``ratio_cut`` / ``greedy_merge`` / ``seed_grow``
-are the bit-identity oracle; this module re-implements them over the
-:class:`~repro.hypergraph.csr.CsrView` flat buffers with O(1)-amortized
-candidate selection, the same treatment PR 6 gave the improvement loop:
+Three builders share the flat incidence lists of
+:class:`~repro.hypergraph.csr.CsrView`; ``docs/ALGORITHM.md`` describes
+each one in the paper's terms.
 
-* ratio-cut sweep — ``net_total`` / ``in_a`` become dense integer lists
-  indexed by net (shared across the two seed sweeps of one
-  bipartition), and the per-move ``max(gains, ...)`` scan over the whole
-  B side becomes a :class:`~repro.fm.buckets.FlatGainBuckets` keyed by
-  integer gain; only the top bucket is scanned for the secondary
-  ``(cell_size, -index)`` tie-break, which is exactly equivalent
-  because the object key ``(gain, cell_size, -index)`` is a total
-  order.
+* **Ratio-cut sweep** (after Wei–Cheng [15]) — from a seed, move cells
+  one at a time into side A (most cut-reducing first) and evaluate
+  ``R = C / (S(P1) S(P2))`` after every move; the prefix with the
+  smallest ratio *among prefixes where at least one side meets device
+  constraints* becomes the bipartition.  It runs from each of the two
+  seeds and keeps the better result.  The per-net swept totals and
+  side-A counts are dense integer lists indexed by net (the totals are
+  shared by the two seed sweeps), and the candidate gains live in a
+  :class:`~repro.fm.buckets.FlatGainBuckets` keyed by integer gain;
+  only the top bucket is scanned for the ``(cell_size, -index)``
+  tie-break, which is exact because ``(gain, cell_size, -index)`` is a
+  total order.
+* **Greedy two-seed merge** (after Brasen/Hiol/Saucier [1]) — two
+  blocks grow at once, one cell each per step, each taking the
+  candidate that maximizes the size-per-pin density
+  ``Cost(i+j) = S(i+j) / T(i+j)`` (zero pins counts as infinitely
+  dense).  The bigger block becomes ``P_k``.
+* **Single-seed growing** — the same growth from the primary seed only,
+  a deliberately greedy third portfolio member on seeded runs.
 
-* greedy merge / seed grow — the frontier's pin-delta previews are kept
-  *incrementally* (counter-based: when a cell joins, only the nets it
-  touches change any candidate's delta, and all outside candidates on a
-  net share the same contribution change), and the per-step
-  O(|frontier|) ``pick()`` scan becomes a scan over buckets keyed by
-  the invariant pair ``(cell_size, pin_delta)``.  The merge score
-  ``S/T`` depends on the *current* block size and pin count, so a
-  single lazily-invalidated heap over scores would go stale on every
-  add; bucketing by ``(size, delta)`` keeps every bucket's score
-  computable in O(1) at pick time, and the within-bucket tie-break
-  (same score, same size ⇒ lowest index wins) reduces to the bucket's
-  minimum live index, held in a per-bucket lazy-deletion min-heap.
+For both growers the frontier's pin-delta previews are kept
+*incrementally*: when a cell joins, only the nets it touches change any
+candidate's delta, and all outside candidates on a net share the same
+change.  The per-step pick scans buckets keyed by the invariant pair
+``(cell_size, pin_delta)`` instead of the whole frontier.  The merge
+score ``S/T`` depends on the *current* block size and pin count, so a
+single heap over scores would go stale on every add; bucketing by
+``(size, delta)`` keeps every bucket's score computable in O(1) at pick
+time, and the within-bucket tie-break (same score, same size ⇒ lowest
+index wins) is the bucket's minimum live index, held in a per-bucket
+lazy-deletion min-heap.
 
-Determinism: every selection reproduces the object tie-break key
-exactly — the per-step differential harness
-(:func:`repro.testing.differential.run_constructive_differential`) and
-the whole-run ``assignments_identical`` checks in
-``tests/test_constructive_flat.py`` enforce it.
+Every builder takes an optional ``trace`` list and appends one
+fingerprint tuple per step (``rc`` / ``gm`` / ``sg``); the extended
+golden corpus pins those traces.
 """
 
 from __future__ import annotations
 
 import random
 from heapq import heappop, heappush
-from typing import Iterable, List, Optional, Set
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Set, Tuple
 
 from ..core.device import Device
 from ..fm.buckets import FlatGainBuckets
 from ..hypergraph import Hypergraph
-from .ratio_cut import SweepResult
 from .seeds import select_seeds
 
 __all__ = [
-    "FLAT_BUILDERS",
-    "flat_greedy_merge_bipartition",
-    "flat_ratio_cut_bipartition",
-    "flat_seed_grow_bipartition",
+    "SweepResult",
+    "greedy_merge_bipartition",
+    "ratio_cut_bipartition",
+    "seed_grow_bipartition",
 ]
 
 
-class _FlatContext:
+@dataclass(frozen=True)
+class SweepResult:
+    """Best prefix of one ratio-cut sweep."""
+
+    subset: Tuple[int, ...]
+    """The produced block ``P_k`` — the feasible side of the best prefix
+    (the bigger side when both fit)."""
+    ratio: float
+    """The ratio ``R`` at the best prefix (``inf`` when no prefix had a
+    feasible side)."""
+    feasible: bool
+    """Whether any prefix had a side meeting device constraints."""
+
+
+class _Context:
     """Per-builder-call flat views shared by sweeps and growers.
 
     Holds the CSR list mirrors plus ``thr``, the per-net pin threshold
-    that folds :meth:`GrowingBlock._net_counts_pin` into one compare:
-    a net with ``inside`` member pins contributes a pin iff
+    that folds the :class:`~repro.initial.growing.GrowingBlock` pin rule
+    into one compare: a net with ``inside`` member pins contributes a
+    pin iff
     ``0 < inside < thr[e]`` (``thr`` is the interior degree, plus one
     when the net also reaches a primary I/O pad and therefore counts a
     pin even when fully absorbed).
@@ -120,14 +142,14 @@ class _FlatContext:
         self.swept_pins = sum(1 for e in touched if tot[e] < thr[e])
 
 
-class _FlatSweep:
-    """Flat twin of ``ratio_cut._Sweep`` plus its gains cache.
+class _Sweep:
+    """Cut / size / pin bookkeeping of one sweep plus its candidate gains.
 
-    The object path keeps candidate gains in a dict refreshed around
-    each move and scans the whole dict per pick; here the same values
-    live in a :class:`FlatGainBuckets` adjusted incrementally (gains
-    only change on nets of the moved cell, and every B-side pin of such
-    a net shifts by the same per-net amount).
+    Side B starts as the whole swept set.  Candidate gains (cut
+    reduction if the cell moved to A now) live in a
+    :class:`FlatGainBuckets` adjusted incrementally: gains only change
+    on nets of the moved cell, and every B-side pin of such a net shifts
+    by the same per-net amount.
     """
 
     __slots__ = (
@@ -136,7 +158,7 @@ class _FlatSweep:
         "_stamp", "_acc", "_token",
     )
 
-    def __init__(self, ctx: _FlatContext) -> None:
+    def __init__(self, ctx: _Context) -> None:
         self.ctx = ctx
         num_cells = ctx.num_cells
         self.in_a = [0] * ctx.num_nets
@@ -198,9 +220,9 @@ class _FlatSweep:
         sz = ctx.cell_sizes[cell]
         self.a_size += sz
         self.b_size -= sz
-        # Refresh candidates around the move (the object refresh_around
-        # set): present candidates shift by the accumulated per-net
-        # deltas, first-touched ones get a full gain computation.
+        # Refresh the B-side pins of the moved cell's nets: present
+        # candidates shift by the accumulated per-net deltas,
+        # first-touched ones get a full gain computation.
         token = self._token = self._token + 1
         stamp = self._stamp
         acc = self._acc
@@ -224,7 +246,7 @@ class _FlatSweep:
                 gains.insert(v, self._gain_of(v))
 
     def _gain_of(self, v: int) -> int:
-        """Full gain of a B-side candidate (object ``_Sweep.gain``)."""
+        """Full gain of a B-side candidate: cut reduction if it moved."""
         ctx = self.ctx
         cell_off = ctx.cell_off
         cell_nets = ctx.cell_nets
@@ -244,9 +266,8 @@ class _FlatSweep:
         """Next cell to move: max ``(gain, cell_size, -index)``.
 
         Only the top gain bucket needs the secondary scan; when no
-        candidate is adjacent (disconnected circuits) the jump branch
-        picks the biggest remaining B cell, exactly like the object
-        fallback.
+        candidate is adjacent (disconnected circuits) the sweep jumps to
+        the biggest remaining B cell.
         """
         gains = self.gains
         cell_sizes = self.ctx.cell_sizes
@@ -269,14 +290,14 @@ class _FlatSweep:
         return best
 
 
-def _flat_sweep(
-    ctx: _FlatContext,
+def _sweep(
+    ctx: _Context,
     device: Device,
     seed: int,
     trace: Optional[list],
 ) -> SweepResult:
-    """One ratio-cut sweep on the flat substrate."""
-    sweep = _FlatSweep(ctx)
+    """One ratio-cut sweep from ``seed``; the best feasible-side prefix."""
+    sweep = _Sweep(ctx)
     sweep.move(seed)
     if trace is not None:
         trace.append(
@@ -336,23 +357,28 @@ def _flat_sweep(
     return result
 
 
-def flat_ratio_cut_bipartition(
+def ratio_cut_bipartition(
     hg: Hypergraph,
     cells: Iterable[int],
     device: Device,
     rng: Optional[random.Random] = None,
     trace: Optional[list] = None,
 ) -> Optional[Set[int]]:
-    """Flat twin of :func:`repro.initial.ratio_cut_bipartition`."""
+    """Best-of-two-seeds ratio-cut bipartition of ``cells``.
+
+    Returns the produced block ``P_k`` or ``None`` when no sweep prefix
+    had a feasible side (the greedy-merge pass then decides alone).
+    ``rng`` perturbs the sweep-seed choice (see ``initial.seeds``).
+    """
     cell_list = sorted(set(cells))
     if len(cell_list) < 2:
         raise ValueError("cannot bipartition fewer than two cells")
     seed1, seed2 = select_seeds(hg, cell_list, rng=rng)
-    ctx = _FlatContext(hg, cell_list)
+    ctx = _Context(hg, cell_list)
     ctx.prepare_sweep()
     results = [
-        _flat_sweep(ctx, device, seed1, trace),
-        _flat_sweep(ctx, device, seed2, trace),
+        _sweep(ctx, device, seed1, trace),
+        _sweep(ctx, device, seed2, trace),
     ]
     results = [
         r for r in results if r.feasible and 0 < len(r.subset) < len(cell_list)
@@ -379,8 +405,8 @@ class _GrowState:
         self.cell_list = cell_list
 
 
-class _FlatGrower:
-    """Flat twin of ``greedy_merge._Grower``.
+class _Grower:
+    """One growing block plus its candidate frontier.
 
     Frontier candidates are bucketed by ``(cell_size, pin_delta)`` —
     both invariant between adds that don't touch the candidate — so the
@@ -388,7 +414,7 @@ class _FlatGrower:
     per-step frontier scan drops to the number of distinct buckets.
     Each bucket keeps its minimum live cell index in a lazy-deletion
     min-heap (entries go stale on rebucket/removal and are popped when
-    next seen), which resolves the object path's ``-cell`` tie-break.
+    next seen), which resolves the lowest-index tie-break.
     """
 
     __slots__ = (
@@ -397,7 +423,7 @@ class _FlatGrower:
         "_stamp", "_acc", "_token", "_seed_changed",
     )
 
-    def __init__(self, ctx: _FlatContext, seed: int, s_max: float) -> None:
+    def __init__(self, ctx: _Context, seed: int, s_max: float) -> None:
         num_cells = ctx.num_cells
         self.ctx = ctx
         self.s_max = s_max
@@ -441,7 +467,7 @@ class _FlatGrower:
         return changed
 
     def _delta_of(self, v: int) -> int:
-        """Full pin-delta preview (object ``GrowingBlock.preview_add``)."""
+        """Full pin-delta preview: pin-count change if ``v`` joined."""
         ctx = self.ctx
         cell_off = ctx.cell_off
         cell_nets = ctx.cell_nets
@@ -497,9 +523,9 @@ class _FlatGrower:
     def _propagate(self, changed, flags: bytearray) -> None:
         """Push per-net contrib deltas to the unassigned neighbourhood.
 
-        Mirrors the object ``extend_frontier``: every unassigned pin of
-        a touched net is (re)considered — present frontier members
-        shift by the accumulated delta, new ones get a full preview.
+        Every unassigned pin of a touched net is (re)considered —
+        present frontier members shift by the accumulated delta, new
+        ones get a full preview.
         """
         ctx = self.ctx
         net_off = ctx.net_off
@@ -529,7 +555,7 @@ class _FlatGrower:
                 self._insert(v, self._delta_of(v))
 
     def extend_initial(self, flags: bytearray) -> None:
-        """Seed the frontier (the driver's first ``extend_frontier``)."""
+        """Seed the frontier with the seed's unassigned neighbours."""
         self._propagate(self._seed_changed, flags)
 
     def add(self, cell: int, flags: bytearray) -> None:
@@ -537,7 +563,10 @@ class _FlatGrower:
         self._propagate(self._apply(cell), flags)
 
     def pick(self, st: _GrowState) -> Optional[int]:
-        """Best-scoring fitting candidate, or a jump cell, or None."""
+        """Best-scoring fitting candidate, or a jump cell, or None.
+
+        Higher score wins; ties prefer bigger cells, then low index.
+        """
         size = self.size
         pins = self.pins
         s_max = self.s_max
@@ -580,7 +609,7 @@ class _FlatGrower:
         return best if best >= 0 else None
 
     def grow(
-        self, st: _GrowState, other: Optional["_FlatGrower"]
+        self, st: _GrowState, other: Optional["_Grower"]
     ) -> Optional[int]:
         """Add one cell if possible; returns the added cell or None."""
         if self.saturated:
@@ -598,23 +627,33 @@ class _FlatGrower:
         return cell
 
 
-def flat_greedy_merge_bipartition(
+def greedy_merge_bipartition(
     hg: Hypergraph,
     cells: Iterable[int],
     device: Device,
     rng: Optional[random.Random] = None,
     trace: Optional[list] = None,
 ) -> Set[int]:
-    """Flat twin of :func:`repro.initial.greedy_merge_bipartition`."""
+    """Split ``cells`` constructively; returns the produced block ``P_k``.
+
+    The returned set is the bigger of the two grown blocks (ties prefer
+    fewer pins, then the block of the first seed); the complement within
+    ``cells`` is the remainder.  Always a proper non-empty subset.  A
+    block stops growing when no candidate fits under ``S_MAX``; when its
+    frontier empties while space remains (disconnected circuits), it
+    jumps to the biggest fitting unassigned cell.  ``rng`` perturbs the
+    growth-seed choice (see ``initial.seeds``); ``None`` is the
+    canonical deterministic path.
+    """
     cell_list = sorted(set(cells))
     if len(cell_list) < 2:
         raise ValueError("cannot bipartition fewer than two cells")
     seed1, seed2 = select_seeds(hg, cell_list, rng=rng)
-    ctx = _FlatContext(hg, cell_list)
+    ctx = _Context(hg, cell_list)
     st = _GrowState(ctx.num_cells, cell_list, (seed1, seed2))
 
-    grower_a = _FlatGrower(ctx, seed1, device.s_max)
-    grower_b = _FlatGrower(ctx, seed2, device.s_max)
+    grower_a = _Grower(ctx, seed1, device.s_max)
+    grower_b = _Grower(ctx, seed2, device.s_max)
     grower_a.extend_initial(st.flags)
     grower_b.extend_initial(st.flags)
 
@@ -634,28 +673,35 @@ def flat_greedy_merge_bipartition(
             break
 
     a, b = grower_a, grower_b
+    # Bigger block becomes P_k; at equal size prefer the denser one.
     if (a.size, -a.pins) >= (b.size, -b.pins):
         return set(a.members)
     return set(b.members)
 
 
-def flat_seed_grow_bipartition(
+def seed_grow_bipartition(
     hg: Hypergraph,
     cells: Iterable[int],
     device: Device,
     rng: Optional[random.Random] = None,
     trace: Optional[list] = None,
 ) -> Set[int]:
-    """Flat twin of :func:`repro.initial.seed_grow_bipartition`."""
+    """Grow one block from the primary seed; returns ``P_k``.
+
+    Always a proper non-empty subset of ``cells`` (growth stops one
+    cell short of swallowing everything).  ``rng`` perturbs the seed
+    choice exactly as in the sibling builders.
+    """
     cell_list = sorted(set(cells))
     if len(cell_list) < 2:
         raise ValueError("cannot bipartition fewer than two cells")
     seed1, _seed2 = select_seeds(hg, cell_list, rng=rng)
-    ctx = _FlatContext(hg, cell_list)
+    ctx = _Context(hg, cell_list)
     st = _GrowState(ctx.num_cells, cell_list, (seed1,))
 
-    grower = _FlatGrower(ctx, seed1, device.s_max)
+    grower = _Grower(ctx, seed1, device.s_max)
     grower.extend_initial(st.flags)
+    # Keep at least one cell outside so the split is always proper.
     while st.remaining > 1:
         cell = grower.pick(st)
         if cell is None:
@@ -667,11 +713,3 @@ def flat_seed_grow_bipartition(
         if trace is not None:
             trace.append(("sg", cell, grower.size, grower.pins))
     return set(grower.members)
-
-
-#: builder name -> flat implementation, mirroring ``initial.BUILDERS``.
-FLAT_BUILDERS = {
-    "greedy_merge": flat_greedy_merge_bipartition,
-    "ratio_cut": flat_ratio_cut_bipartition,
-    "seed_grow": flat_seed_grow_bipartition,
-}

@@ -7,7 +7,6 @@ from .cut import (
     cut_nets,
     cutset,
 )
-from .flat_state import FlatPartitionState
 from .state import PartitionState, StateListener
 from .validate import (
     ValidationReport,
@@ -17,7 +16,6 @@ from .validate import (
 
 __all__ = [
     "PartitionState",
-    "FlatPartitionState",
     "StateListener",
     "ValidationReport",
     "validate_assignment",

@@ -37,11 +37,9 @@ cell but typically applies far fewer moves:
   direction heap is heapified once and its head queued once; ``seq`` is
   unique per entry, so a heap's pop order depends only on its set of
   keys and selection equals the one-push-per-entry order;
-* on the flat substrate one fused kernel
-  (:func:`~repro.fm.gains.flat_gain_kernel`) yields a cell's gain vector
-  toward every target block from a single walk over its nets, for
-  seeding and neighbour refresh alike; the object substrate keeps one
-  :func:`~repro.fm.gains.move_gain_vector` call per direction.
+* one fused kernel (:func:`~repro.fm.gains.flat_gain_kernel`) yields a
+  cell's gain vector toward every target block from a single walk over
+  its nets, for seeding and neighbour refresh alike.
 
 Per-move work is kept small three ways:
 
@@ -56,9 +54,10 @@ Per-move work is kept small three ways:
   first lock lands in the destination block); a cell's ``version`` is
   bumped only when it really is re-pushed;
 * the solution cost after each move comes from the run's
-  :class:`~repro.core.cost.IncrementalCostEvaluator` in O(1) (when
-  ``config.incremental_cost`` is set and the evaluator supports it)
-  instead of a full O(k) sweep.
+  :class:`~repro.core.cost.IncrementalCostEvaluator` (when
+  ``config.incremental_cost`` is set), whose move listener refreshes
+  the key in O(1) — one list read per move instead of a full O(k)
+  sweep.
 """
 
 from __future__ import annotations
@@ -196,10 +195,8 @@ class SanchisEngine:
     ) -> GainKernel:
         """One pass's ``(cell, from_block, targets) -> [(g1, g2)]`` kernel.
 
-        Flat states walk a cell's nets once for all directions
-        (:func:`~repro.fm.gains.flat_gain_kernel`); the object substrate
-        calls :func:`~repro.fm.gains.move_gain_vector` once per
-        direction, so the backend-identity tests compare the two.
+        Walks a cell's nets once for all directions
+        (:func:`~repro.fm.gains.flat_gain_kernel`).
         """
         state = self.state
         config = self.config
@@ -216,14 +213,7 @@ class SanchisEngine:
                 ]
 
             return pin_vectors
-        if state.flat_counts is not None:
-            kernel = flat_gain_kernel(state, locked_in_block)
-        else:
-            def kernel(cell, from_block, targets):
-                return [
-                    move_gain_vector(state, cell, t, locked_in_block)
-                    for t in targets
-                ]
+        kernel = flat_gain_kernel(state, locked_in_block)
         if config.use_level2_gains:
             return kernel
 
@@ -244,23 +234,16 @@ class SanchisEngine:
         stall_limit = config.pass_stall_limit
 
         evaluator = self.evaluator
+        # Per-move comparisons use the raw key tuple; the SolutionCost
+        # object is built once at the end of the pass.  An attached
+        # incremental evaluator refreshes the key inside its on_move
+        # listener, so the per-move read is one list index; otherwise
+        # every move pays a full O(k) sweep.
+        key_of = evaluator.key_of
         if config.incremental_cost and isinstance(
             evaluator, IncrementalCostEvaluator
         ):
             evaluator.attach(state)
-        # Per-move comparisons use the raw key tuple (O(1) when the
-        # evaluator is attached); the SolutionCost object is built once
-        # at the end of the pass.
-        key_of = evaluator.key_of
-        # Fused-key protocol (flat backend): the evaluator refreshes the
-        # key inside its on_move listener, so the per-move read is one
-        # list index instead of a current_key call.  The keys are
-        # bit-identical either way; only the call is elided.
-        fused = (
-            getattr(evaluator, "fused_keys", False)
-            and evaluator.attached_state is state
-        )
-        if fused:
             evaluator.set_remainder(self.remainder)
             fused_key_cell = evaluator.last_key_cell
         else:
@@ -521,25 +504,15 @@ class SanchisEngine:
                 # Pre-move distribution facts deciding which neighbours
                 # are dirty (the predicates below need the *old* counts).
                 flat_counts = state.flat_counts
-                if flat_counts is not None:
-                    stride = state.flat_stride
-                    pre = [
-                        (
-                            flat_counts[e * stride + from_block],
-                            flat_counts[e * stride + to_block],
-                            locked_in_block[e].get(to_block, 0),
-                        )
-                        for e in nets
-                    ]
-                else:
-                    pre = [
-                        (
-                            state.net_block_count(e, from_block),
-                            state.net_block_count(e, to_block),
-                            locked_in_block[e].get(to_block, 0),
-                        )
-                        for e in nets
-                    ]
+                stride = state.flat_stride
+                pre = [
+                    (
+                        flat_counts[e * stride + from_block],
+                        flat_counts[e * stride + to_block],
+                        locked_in_block[e].get(to_block, 0),
+                    )
+                    for e in nets
+                ]
                 state.move(cell, to_block)
                 free.discard(cell)
                 version[cell] += 1  # invalidate the cell's other entries

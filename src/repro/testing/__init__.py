@@ -4,15 +4,10 @@ Importable from production code paths only for type references; nothing
 here is required at runtime.  See :mod:`repro.testing.faults`.
 """
 
-from .differential import DifferentialReport, random_ops, replay, run_differential
 from .faults import FaultPlan, FaultyEvaluator, InjectedFault
 
 __all__ = [
-    "DifferentialReport",
     "FaultPlan",
     "FaultyEvaluator",
     "InjectedFault",
-    "random_ops",
-    "replay",
-    "run_differential",
 ]

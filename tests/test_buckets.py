@@ -1,13 +1,65 @@
 """Classic FM gain bucket structure."""
 
+import random
+
 import pytest
 
-from repro.fm import GainBuckets
+from repro.fm import FlatGainBuckets
+
+
+#: Cell-id capacity for the hand-written cases (ids stay below it).
+CAPACITY = 16
+
+
+class LifoModel:
+    """Reference model: one Python list per gain, popped from the tail.
+
+    The order the classical FM bucket promises, written as plainly as
+    possible: the most recently inserted cell of the highest non-empty
+    bucket comes first.
+    """
+
+    def __init__(self, max_gain):
+        self.max_gain = max_gain
+        self.stacks = {g: [] for g in range(-max_gain, max_gain + 1)}
+        self.gain = {}
+
+    def insert(self, cell, gain):
+        self.stacks[gain].append(cell)
+        self.gain[cell] = gain
+
+    def remove(self, cell):
+        self.stacks[self.gain.pop(cell)].remove(cell)
+
+    def update(self, cell, gain):
+        self.remove(cell)
+        self.insert(cell, gain)
+
+    def pop_max(self):
+        for g in range(self.max_gain, -self.max_gain - 1, -1):
+            if self.stacks[g]:
+                cell = self.stacks[g].pop()
+                del self.gain[cell]
+                return cell
+        return None
+
+    def order(self):
+        return [
+            cell
+            for g in range(self.max_gain, -self.max_gain - 1, -1)
+            for cell in reversed(self.stacks[g])
+        ]
+
+    def max_bucket(self):
+        for g in range(self.max_gain, -self.max_gain - 1, -1):
+            if self.stacks[g]:
+                return list(reversed(self.stacks[g]))
+        return []
 
 
 class TestBasics:
     def test_insert_and_peek(self):
-        b = GainBuckets(3)
+        b = FlatGainBuckets(3, CAPACITY)
         b.insert(10, 1)
         b.insert(11, 3)
         b.insert(12, -2)
@@ -17,7 +69,7 @@ class TestBasics:
         assert 10 in b and 99 not in b
 
     def test_lifo_within_bucket(self):
-        b = GainBuckets(2)
+        b = FlatGainBuckets(2, CAPACITY)
         b.insert(1, 0)
         b.insert(2, 0)
         b.insert(3, 0)
@@ -27,7 +79,7 @@ class TestBasics:
         assert b.pop_max() is None
 
     def test_gain_bounds_enforced(self):
-        b = GainBuckets(2)
+        b = FlatGainBuckets(2, CAPACITY)
         with pytest.raises(ValueError, match="outside"):
             b.insert(1, 3)
         with pytest.raises(ValueError, match="outside"):
@@ -35,10 +87,10 @@ class TestBasics:
 
     def test_negative_max_gain(self):
         with pytest.raises(ValueError):
-            GainBuckets(-1)
+            FlatGainBuckets(-1, CAPACITY)
 
     def test_duplicate_insert_rejected(self):
-        b = GainBuckets(2)
+        b = FlatGainBuckets(2, CAPACITY)
         b.insert(1, 0)
         with pytest.raises(ValueError, match="already"):
             b.insert(1, 1)
@@ -46,7 +98,7 @@ class TestBasics:
 
 class TestUpdates:
     def test_remove(self):
-        b = GainBuckets(2)
+        b = FlatGainBuckets(2, CAPACITY)
         b.insert(1, 2)
         b.insert(2, 1)
         b.remove(1)
@@ -54,7 +106,7 @@ class TestUpdates:
         assert 1 not in b
 
     def test_update_moves_bucket(self):
-        b = GainBuckets(3)
+        b = FlatGainBuckets(3, CAPACITY)
         b.insert(1, 0)
         b.insert(2, 1)
         b.update(1, 3)
@@ -62,7 +114,7 @@ class TestUpdates:
         assert b.gain_of(1) == 3
 
     def test_adjust(self):
-        b = GainBuckets(3)
+        b = FlatGainBuckets(3, CAPACITY)
         b.insert(1, 0)
         b.adjust(1, 2)
         assert b.gain_of(1) == 2
@@ -70,7 +122,7 @@ class TestUpdates:
         assert b.gain_of(1) == 2
 
     def test_top_pointer_recovers_after_removals(self):
-        b = GainBuckets(3)
+        b = FlatGainBuckets(3, CAPACITY)
         b.insert(1, 3)
         b.insert(2, -1)
         b.remove(1)
@@ -79,7 +131,7 @@ class TestUpdates:
         assert b.peek_max() == 3
 
     def test_iter_from_max_order(self):
-        b = GainBuckets(3)
+        b = FlatGainBuckets(3, CAPACITY)
         b.insert(1, -1)
         b.insert(2, 2)
         b.insert(3, 2)
@@ -87,7 +139,7 @@ class TestUpdates:
         assert list(b.iter_from_max()) == [3, 2, 4, 1]
 
     def test_clear(self):
-        b = GainBuckets(2)
+        b = FlatGainBuckets(2, CAPACITY)
         b.insert(1, 1)
         b.clear()
         assert len(b) == 0
@@ -98,7 +150,7 @@ class TestUpdates:
 
 class TestIterMaxBucket:
     def test_yields_only_top_bucket(self):
-        b = GainBuckets(3)
+        b = FlatGainBuckets(3, CAPACITY)
         b.insert(1, -1)
         b.insert(2, 2)
         b.insert(3, 2)
@@ -106,11 +158,11 @@ class TestIterMaxBucket:
         assert list(b.iter_max_bucket()) == [3, 2]
 
     def test_empty(self):
-        b = GainBuckets(2)
+        b = FlatGainBuckets(2, CAPACITY)
         assert list(b.iter_max_bucket()) == []
 
     def test_settles_after_removal(self):
-        b = GainBuckets(2)
+        b = FlatGainBuckets(2, CAPACITY)
         b.insert(1, 2)
         b.insert(2, 0)
         b.insert(3, 0)
@@ -118,31 +170,27 @@ class TestIterMaxBucket:
         assert list(b.iter_max_bucket()) == [3, 2]
 
     def test_flat_matches_object(self):
-        import random
-
+        """``FlatGainBuckets`` walks its buckets like :class:`LifoModel`."""
         rng = random.Random(7)
-        from repro.fm.buckets import FlatGainBuckets
-
-        obj = GainBuckets(4)
+        model = LifoModel(4)
         flat = FlatGainBuckets(4, 64)
-        present = set()
         for _ in range(500):
             r = rng.random()
-            if r < 0.5 or not present:
+            if r < 0.5 or not model.gain:
                 cell = rng.randrange(64)
-                if cell in present:
+                if cell in model.gain:
                     continue
                 gain = rng.randrange(-4, 5)
-                obj.insert(cell, gain)
+                model.insert(cell, gain)
                 flat.insert(cell, gain)
-                present.add(cell)
             elif r < 0.75:
-                cell = rng.choice(sorted(present))
-                obj.update(cell, rng.randrange(-4, 5))
-                flat.update(cell, obj.gain_of(cell))
+                cell = rng.choice(sorted(model.gain))
+                gain = rng.randrange(-4, 5)
+                model.update(cell, gain)
+                flat.update(cell, gain)
             else:
-                cell = rng.choice(sorted(present))
-                obj.remove(cell)
+                cell = rng.choice(sorted(model.gain))
+                model.remove(cell)
                 flat.remove(cell)
-                present.remove(cell)
-            assert list(obj.iter_max_bucket()) == list(flat.iter_max_bucket())
+            assert list(flat.iter_max_bucket()) == model.max_bucket()
+            assert list(flat.iter_from_max()) == model.order()

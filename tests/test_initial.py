@@ -9,9 +9,9 @@ from repro.initial import (
     create_bipartition,
     greedy_merge_bipartition,
     ratio_cut_bipartition,
-    ratio_cut_sweep,
     select_seeds,
 )
+from repro.initial.flat_build import _Context, _sweep
 from repro.partition import PartitionState, block_pin_counts
 
 
@@ -134,6 +134,13 @@ class TestGreedyMerge:
             greedy_merge_bipartition(chain4, [0], tiny_device)
 
 
+def ratio_cut_sweep(hg, cells, device, seed, trace=None):
+    """One sweep from ``seed`` over ``cells`` (fresh swept-set totals)."""
+    ctx = _Context(hg, sorted(cells))
+    ctx.prepare_sweep()
+    return _sweep(ctx, device, seed, trace)
+
+
 class TestRatioCut:
     def test_sweep_basic(self, two_clusters, tiny_device):
         result = ratio_cut_sweep(two_clusters, list(range(8)), tiny_device, seed=0)
@@ -144,6 +151,13 @@ class TestRatioCut:
     def test_sweep_finds_bridge(self, two_clusters, tiny_device):
         result = ratio_cut_sweep(two_clusters, list(range(8)), tiny_device, seed=0)
         assert set(result.subset) in ({0, 1, 2, 3}, {4, 5, 6, 7})
+
+    def test_trace_records_both_sweeps(self, two_clusters, tiny_device):
+        trace = []
+        ratio_cut_bipartition(two_clusters, range(8), tiny_device, trace=trace)
+        results = [step for step in trace if step[0] == "rc_result"]
+        assert len(results) == 2  # one per seed
+        assert len(trace) == 2 * 7 + 2  # every sweep stops one cell short
 
     def test_best_of_two_seeds(self, two_clusters, tiny_device):
         subset = ratio_cut_bipartition(two_clusters, range(8), tiny_device)
@@ -220,7 +234,7 @@ def _disconnected_circuit():
 
 
 class TestDisconnectedJumps:
-    """The untested disconnected-circuit fallbacks in both builders."""
+    """The disconnected-circuit fallbacks in both builder families."""
 
     def test_ratio_cut_sweep_jump(self):
         from repro.core import Device
@@ -268,25 +282,19 @@ class TestDisconnectedJumps:
 
 
 class TestNetTotalHoist:
-    """The shared swept-set totals must not change sweep results."""
+    """The swept-set totals both seed sweeps share must stay constant."""
 
     def test_precomputed_totals_identical(self, medium_circuit, small_device):
-        from repro.initial import swept_net_totals
-
         cells = list(range(medium_circuit.num_cells))
-        totals = swept_net_totals(medium_circuit, cells)
+        shared = _Context(medium_circuit, cells)
+        shared.prepare_sweep()
         for seed in (0, 5):
             fresh = ratio_cut_sweep(medium_circuit, cells, small_device, seed)
-            shared = ratio_cut_sweep(
-                medium_circuit, cells, small_device, seed, net_total=totals
-            )
-            assert fresh == shared
+            assert fresh == _sweep(shared, small_device, seed, None)
 
     def test_totals_not_mutated_between_sweeps(self, two_clusters, tiny_device):
-        from repro.initial import swept_net_totals
-
-        cells = list(range(8))
-        totals = swept_net_totals(two_clusters, cells)
-        before = dict(totals)
-        ratio_cut_sweep(two_clusters, cells, tiny_device, 0, net_total=totals)
-        assert totals == before
+        ctx = _Context(two_clusters, list(range(8)))
+        ctx.prepare_sweep()
+        before = (list(ctx.tot), ctx.swept_size, ctx.swept_pins)
+        _sweep(ctx, tiny_device, 0, None)
+        assert (list(ctx.tot), ctx.swept_size, ctx.swept_pins) == before

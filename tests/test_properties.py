@@ -8,7 +8,7 @@ and the algebraic invariants the paper's machinery relies on.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fm import GainBuckets, move_gain
+from repro.fm import FlatGainBuckets, move_gain
 from repro.hypergraph import Hypergraph, dumps_hgr, loads_hgr
 from repro.initial import GrowingBlock
 from repro.partition import (
@@ -240,7 +240,7 @@ class TestBucketProperties:
     )
     @settings(max_examples=80, deadline=None)
     def test_pop_order_is_sorted(self, items):
-        buckets = GainBuckets(5)
+        buckets = FlatGainBuckets(5, 31)
         inserted = {}
         for cell, gain in items:
             if cell not in inserted:

@@ -6,8 +6,8 @@ import pytest
 
 from repro.circuits import generate_circuit
 from repro.core import DEFAULT_CONFIG, CostEvaluator, Device, FpartConfig, MoveRegion
-from repro.core.backend import make_state
 from repro.core.cost import make_evaluator
+from repro.fm import move_gain_vector
 from repro.partition import PartitionState
 from repro.sanchis import SanchisEngine
 
@@ -141,26 +141,43 @@ class TestMultiWayImprovement:
         assert fresh.key == result.best_cost.key
 
 
-class TestMultiBlockBackendIdentity:
-    """Flat and object states walk the same multi-block trajectory.
+class _PerDirectionEngine(SanchisEngine):
+    """Reference engine: one ``move_gain_vector`` call per direction."""
 
-    The flat substrate computes all directions of a cell in one fused
-    kernel, the object substrate one ``move_gain_vector`` call per
-    direction; whole FPART runs exercise almost only 2-block passes, so
-    the k-way case is pinned here.
+    def _gain_kernel(self, locked_in_block):
+        state = self.state
+
+        def kernel(cell, from_block, targets):
+            return [
+                move_gain_vector(state, cell, t, locked_in_block)
+                for t in targets
+            ]
+
+        return kernel
+
+
+class TestMultiBlockBackendIdentity:
+    """The fused engine walks the reference multi-block trajectory.
+
+    The engine computes all directions of a cell in one fused kernel and
+    reads each move's key from the fused incremental evaluator.  The
+    reference computes one ``move_gain_vector`` call per direction and
+    a full O(k) cost sweep per move.  Whole FPART runs exercise almost
+    only 2-block passes, so the k-way case is pinned here.
     """
 
     @staticmethod
-    def run(backend, hg, device, k, seed):
-        config = FpartConfig(backend=backend)
+    def run(reference, hg, device, k, seed):
+        config = FpartConfig(incremental_cost=not reference)
         rng = random.Random(seed)
-        state = make_state(
-            hg, [rng.randrange(k) for _ in range(hg.num_cells)], k, backend
+        state = PartitionState.from_assignment(
+            hg, [rng.randrange(k) for _ in range(hg.num_cells)], k
         )
         m = device.lower_bound(hg)
         evaluator = make_evaluator(device, config, m, hg.num_terminals)
         region = MoveRegion(device, config, k - 1, False, k, m)
-        engine = SanchisEngine(
+        engine_class = _PerDirectionEngine if reference else SanchisEngine
+        engine = engine_class(
             state, range(k), k - 1, evaluator, region, config
         )
         costs = []
@@ -172,6 +189,6 @@ class TestMultiBlockBackendIdentity:
     def test_flat_equals_object(self, k):
         hg = generate_circuit("kway-identity", num_cells=160, num_ios=24, seed=k)
         device = Device("KWAY", s_ds=160 // k + 8, t_max=40, delta=1.0)
-        flat = self.run("flat", hg, device, k, seed=k)
-        assert flat[1] > 0  # the passes really moved cells
-        assert flat == self.run("object", hg, device, k, seed=k)
+        fused = self.run(False, hg, device, k, seed=k)
+        assert fused[1] > 0  # the passes really moved cells
+        assert fused == self.run(True, hg, device, k, seed=k)
