@@ -84,12 +84,13 @@ DEFAULT_RETRY_BACKOFF = BackoffPolicy(
 
 
 def submission_digest(
-    netlist: str, device: str, delta: float, config_overrides: Dict
+    netlist: str, device: str, delta: Optional[float], config_overrides: Dict
 ) -> str:
     """Idempotency key of one submission.
 
     Hashes the netlist *content* (two paths to the same file dedupe;
-    an edited netlist does not), the device/delta pair, and the
+    an edited netlist does not), the device/delta pair (``None`` is the
+    catalog ratio), and the
     budget-masked config digest — so two submissions differing only in
     budget knobs still dedupe onto one computation, matching the
     checkpoint compatibility rule.

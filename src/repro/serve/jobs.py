@@ -78,11 +78,14 @@ class JobSpec:
     ``config`` holds FpartConfig field overrides by name (only the
     fields the client set); the worker applies them over
     ``DEFAULT_CONFIG`` so the service and CLI share one default story.
+    ``delta`` likewise defaults to ``None``: the device's catalog
+    filling ratio, exactly what ``fpart partition`` uses without
+    ``--delta``.
     """
 
     netlist: str
     device: str = "XC3042"
-    delta: float = 0.1
+    delta: Optional[float] = None
     config: Dict = field(default_factory=dict)
     tenant: str = "default"
     priority: int = 0
@@ -93,7 +96,7 @@ class JobSpec:
             raise JobError("job spec requires a netlist path")
         # The worker's Device demands 0 < delta <= 1; reject here so a
         # bad filling ratio is a 400 at admission, not a failed job.
-        if not (0.0 < float(self.delta) <= 1.0):
+        if self.delta is not None and not (0.0 < float(self.delta) <= 1.0):
             raise JobError(f"delta must be in (0, 1], got {self.delta}")
         if not isinstance(self.config, dict):
             raise JobError("config overrides must be a mapping")

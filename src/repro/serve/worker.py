@@ -88,7 +88,7 @@ def run_partition_job(
     attempt: int,
     netlist: str,
     device_name: str,
-    delta: float,
+    delta: Optional[float],
     config_overrides: Dict[str, Any],
     job_dir: str,
     runs_dir: Optional[str] = None,
@@ -134,7 +134,10 @@ def run_partition_job(
     directory = Path(job_dir)
     directory.mkdir(parents=True, exist_ok=True)
     hg = load_netlist(netlist)
-    device = device_by_name(device_name).with_delta(delta)
+    # ``None`` keeps the catalog filling ratio, as the CLI does.
+    device = device_by_name(device_name)
+    if delta is not None:
+        device = device.with_delta(delta)
     config = job_config(config_overrides)
 
     # Every serve job checkpoints every iteration: the checkpoint IS the

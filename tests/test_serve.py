@@ -199,6 +199,8 @@ class TestJobStateMachine:
         with pytest.raises(JobError, match="delta"):
             JobSpec.from_dict({"netlist": "x", "delta": 0.0})
         assert JobSpec.from_dict({"netlist": "x", "delta": 1.0}).delta == 1.0
+        # No delta means the device's catalog filling ratio.
+        assert JobSpec.from_dict({"netlist": "x"}).delta is None
 
     def test_job_roundtrips_through_dict(self):
         job = make_job(tenant="team-a", priority=2)
@@ -350,6 +352,29 @@ class TestServiceLifecycle:
         result = service.result(job["job_id"])
         assert result["status"] == 200
         assert len(result["result"]["assignment"]) == 100
+
+    def test_default_delta_matches_cli(self, service, tmp_path):
+        """Serve and ``fpart partition`` share the catalog δ default."""
+        from repro.cli import main
+        from repro.hypergraph.io import read_hgr
+        from repro.partition import read_assignment_file
+
+        netlist = tmp_path / "contract.hgr"
+        write_hgr(generate_circuit("contract", 300, 30, seed=4), netlist)
+        out = tmp_path / "cli.txt"
+        assert main(
+            ["partition", str(netlist), "--device", "XC3020",
+             "--output", str(out)]
+        ) == 0
+        cli_assignment = read_assignment_file(out, read_hgr(netlist))
+
+        response = service.submit(
+            {"netlist": str(netlist), "device": "XC3020"}
+        )
+        job = wait_terminal(service, response["job"]["job_id"])
+        served = service.result(job["job_id"])["result"]
+        assert served["assignment"] == cli_assignment
+        assert served["num_devices"] == len(set(cli_assignment)) > 1
 
     def test_duplicate_submission_zero_recompute(self, service, netlist_file):
         first = service.submit({"netlist": str(netlist_file)})

@@ -132,6 +132,7 @@ class TestKillRestartRecovery:
             response = client.submit(
                 {
                     "netlist": str(netlist_file),
+                    "delta": 0.1,
                     "config": {"test_sleep_seconds": 3.0},
                 }
             )
@@ -218,6 +219,7 @@ class TestKillRestartRecovery:
             response = client.submit(
                 {
                     "netlist": str(netlist_file),
+                    "delta": 0.1,
                     "config": {"test_sleep_seconds": 3.0},
                 }
             )
