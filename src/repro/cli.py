@@ -27,7 +27,6 @@ Netlist files are autodetected by extension: ``.hgr`` (extended hMETIS),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -38,11 +37,11 @@ from .analysis import render_device_comparison, run_device_experiment
 from .baselines import bfs_pack, fbb_multiway, kwayx, rp0
 from .circuits import generate_circuit
 from .core import (
-    DEFAULT_CONFIG,
     CheckpointManager,
     FpartPartitioner,
     OversizedCellError,
     PartitioningError,
+    PartitionRequest,
     device_by_name,
     fpart,
 )
@@ -50,9 +49,7 @@ from .hypergraph import (
     Hypergraph,
     NetlistFormatError,
     compute_stats,
-    read_blif,
-    read_hgr,
-    read_netlist,
+    load_netlist,
     write_blif,
     write_hgr,
     write_netlist,
@@ -69,16 +66,11 @@ EXIT_DATAERR = 65
 EXIT_NOINPUT = 66
 EXIT_SOFTWARE = 70
 
-
-def _load(path: str) -> Hypergraph:
-    file = Path(path)
-    if not file.exists():
-        raise FileNotFoundError(f"no such netlist file: {path}")
-    if file.suffix == ".nets":
-        return read_netlist(file)
-    if file.suffix == ".blif":
-        return read_blif(file)
-    return read_hgr(file)
+#: ``partition`` flags that set the ``FpartConfig`` field of their name.
+_CONFIG_FLAGS = (
+    "deadline_seconds", "max_iterations", "max_moves", "strict", "seed",
+    "builder_jobs",
+)
 
 
 def _save(hg: Hypergraph, path: str) -> None:
@@ -106,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("netlist", help="input .hgr or .nets file")
     p.add_argument(
         "--device",
-        default="XC3042",
+        default=PartitionRequest.device,
         help="target device name (XC3020/XC3042/XC3090/XC2064)",
     )
     p.add_argument(
@@ -157,6 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--deadline",
+        dest="deadline_seconds",
         type=float,
         default=None,
         metavar="SECONDS",
@@ -317,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("netlist", help="input netlist file")
     v.add_argument("assignment", help="'cell block' file from partition")
-    v.add_argument("--device", default="XC3042")
+    v.add_argument("--device", default=PartitionRequest.device)
     v.add_argument("--delta", type=float, default=None)
 
     s = sub.add_parser(
@@ -341,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         "netlist", nargs="?", default=None,
         help="input netlist file (omit when using --trace)",
     )
-    r.add_argument("--device", default="XC3042")
+    r.add_argument("--device", default=PartitionRequest.device)
     r.add_argument("--delta", type=float, default=None)
     r.add_argument(
         "--no-baselines", action="store_true",
@@ -631,27 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fpart_config(args: argparse.Namespace):
-    """DEFAULT_CONFIG with the CLI's budget/strictness overrides."""
-    overrides = {}
-    if args.deadline is not None:
-        overrides["deadline_seconds"] = args.deadline
-    if args.max_iterations is not None:
-        overrides["max_iterations"] = args.max_iterations
-    if args.max_moves is not None:
-        overrides["max_moves"] = args.max_moves
-    if args.strict:
-        overrides["strict"] = True
-    if args.seed:
-        overrides["seed"] = args.seed
-    if args.builder_jobs != 1:
-        overrides["builder_jobs"] = args.builder_jobs
-    if not overrides:
-        return DEFAULT_CONFIG
-    return dataclasses.replace(DEFAULT_CONFIG, **overrides)
-
-
-def _run_fpart_portfolio(hg, device, args: argparse.Namespace):
+def _run_fpart_portfolio(hg, device, config, args: argparse.Namespace):
     """Run the ``--restarts`` portfolio and return the reduced winner.
 
     Per-run telemetry flags would need one stream per restart and are
@@ -675,7 +648,6 @@ def _run_fpart_portfolio(hg, device, args: argparse.Namespace):
             raise PartitioningError(
                 f"{name} is incompatible with --restarts > 1"
             )
-    config = _fpart_config(args)
     guard = None
     if config.deadline_seconds is not None:
         # Umbrella guard: the portfolio as a whole honours --deadline;
@@ -718,7 +690,7 @@ def _run_fpart_portfolio(hg, device, args: argparse.Namespace):
     return portfolio.winner
 
 
-def _run_fpart_cli(hg, device, args: argparse.Namespace):
+def _run_fpart_cli(hg, device, config, args: argparse.Namespace):
     """Run FPART honouring guard/checkpoint/resume/telemetry flags.
 
     Returns ``(result, profile_report_or_None)``.  Checkpoint loading
@@ -740,7 +712,6 @@ def _run_fpart_cli(hg, device, args: argparse.Namespace):
         TraceWriter,
     )
 
-    config = _fpart_config(args)
     manager = (
         CheckpointManager(args.checkpoint, every=args.checkpoint_every)
         if args.checkpoint
@@ -879,12 +850,10 @@ def _record_fpart_run(
     store, args, config, partitioner, result, metrics, sampler=None
 ):
     """Append the finished run to the ``--runs-dir`` registry."""
-    from .core.checkpoint import config_digest
     from .obs import (
         RunRecord,
         RunStoreError,
         atomic_write_text,
-        cost_fields,
         render_phase_table,
     )
 
@@ -911,21 +880,7 @@ def _record_fpart_run(
             )
             + "\n",
         )
-    record = RunRecord(
-        run_id=partitioner.run_id,
-        circuit=result.circuit,
-        device=result.device,
-        method="FPART",
-        status=result.status,
-        num_devices=result.num_devices,
-        lower_bound=result.lower_bound,
-        feasible=result.feasible,
-        cost=cost_fields(result.cost) if result.cost is not None else None,
-        wall_seconds=result.runtime_seconds,
-        iterations=result.iterations,
-        config_digest=config_digest(config),
-        seed=config.seed,
-    )
+    record = RunRecord.from_result(result, config, partitioner.run_id)
     try:
         store.record_run(
             record,
@@ -960,10 +915,15 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         raise PartitioningError("--restarts must be at least 1")
     if args.jobs < 1:
         raise PartitioningError("--jobs must be at least 1")
-    hg = _load(args.netlist)
-    device = device_by_name(args.device)
-    if args.delta is not None:
-        device = device.with_delta(args.delta)
+    # The same request a serve job carries; unset flags stay defaults.
+    overrides = {
+        name: getattr(args, name)
+        for name in _CONFIG_FLAGS
+        if getattr(args, name) is not None
+    }
+    hg, device, config = PartitionRequest(
+        args.netlist, args.device, args.delta, overrides
+    ).resolve()
 
     runners = {
         "kwayx": lambda: kwayx(hg, device),
@@ -973,11 +933,11 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     }
     profile_report = None
     if args.algorithm == "fpart" and args.restarts > 1:
-        res = _run_fpart_portfolio(hg, device, args)
+        res = _run_fpart_portfolio(hg, device, config, args)
     elif args.algorithm == "fpart":
         # The fpart runner owns profiling itself so --profile composes
         # with --resume (the checkpoint is loaded outside the profile).
-        res, profile_report = _run_fpart_cli(hg, device, args)
+        res, profile_report = _run_fpart_cli(hg, device, config, args)
     elif args.profile:
         from .analysis.profiling import profile_call
 
@@ -1069,7 +1029,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_info(args: argparse.Namespace) -> int:
     from .hypergraph import lint_netlist, render_lint
 
-    hg = _load(args.netlist)
+    hg = load_netlist(args.netlist)
     print(hg)
     print(compute_stats(hg).summary())
     if args.lint:
@@ -1078,10 +1038,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    hg = _load(args.netlist)
-    device = device_by_name(args.device)
-    if args.delta is not None:
-        device = device.with_delta(args.delta)
+    hg = load_netlist(args.netlist)
+    device = device_by_name(args.device, delta=args.delta)
     assignment = read_assignment_file(args.assignment, hg)
     report = validate_assignment(hg, assignment, device)
     print(report.summary())
@@ -1096,7 +1054,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_split(args: argparse.Namespace) -> int:
     from .hypergraph import split_into_devices
 
-    hg = _load(args.netlist)
+    hg = load_netlist(args.netlist)
     assignment = read_assignment_file(args.assignment, hg)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -1130,10 +1088,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         )
     from .analysis import generate_report
 
-    hg = _load(args.netlist)
-    device = device_by_name(args.device)
-    if args.delta is not None:
-        device = device.with_delta(args.delta)
+    hg = load_netlist(args.netlist)
+    device = device_by_name(args.device, delta=args.delta)
     report = generate_report(
         hg, device, include_baselines=not args.no_baselines
     )

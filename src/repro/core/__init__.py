@@ -56,6 +56,7 @@ from .heterogeneous import (
 from .improve import improve
 from .interrupt import GracefulInterrupt
 from .move_region import MoveRegion
+from .request import PartitionRequest, RequestError
 from .runguard import (
     NULL_GUARD,
     RunBudget,
@@ -97,6 +98,8 @@ __all__ = [
     "make_evaluator",
     "GracefulInterrupt",
     "MoveRegion",
+    "PartitionRequest",
+    "RequestError",
     "SolutionStack",
     "DualSolutionStacks",
     "improve",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict
+from typing import Dict, Optional
 
 from ..hypergraph import Hypergraph
 
@@ -111,10 +111,11 @@ DEVICE_CATALOG: Dict[str, Device] = {
 }
 
 
-def device_by_name(name: str) -> Device:
-    """Look up a catalog device by (case-insensitive) name."""
+def device_by_name(name: str, delta: Optional[float] = None) -> Device:
+    """Catalog device by (case-insensitive) name, at ``delta`` if given."""
     key = name.upper()
     if key not in DEVICE_CATALOG:
         known = ", ".join(sorted(DEVICE_CATALOG))
         raise KeyError(f"unknown device {name!r}; known: {known}")
-    return DEVICE_CATALOG[key]
+    device = DEVICE_CATALOG[key]
+    return device if delta is None else device.with_delta(delta)

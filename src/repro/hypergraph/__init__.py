@@ -11,6 +11,7 @@ from .errors import BlifError, NetlistFormatError
 from .hypergraph import Hypergraph
 from .io import (
     dumps_hgr,
+    load_netlist,
     loads_hgr,
     read_hgr,
     read_netlist,
@@ -32,6 +33,7 @@ __all__ = [
     "write_hgr",
     "loads_hgr",
     "dumps_hgr",
+    "load_netlist",
     "read_netlist",
     "write_netlist",
     "read_blif",

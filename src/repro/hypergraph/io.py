@@ -19,6 +19,7 @@ import io as _io
 from pathlib import Path
 from typing import List, TextIO, Tuple, Union
 
+from .blif import read_blif
 from .builder import HypergraphBuilder
 from .errors import NetlistFormatError
 from .hypergraph import Hypergraph
@@ -30,6 +31,7 @@ __all__ = [
     "read_netlist",
     "loads_hgr",
     "dumps_hgr",
+    "load_netlist",
 ]
 
 _PathOrIO = Union[str, Path, TextIO]
@@ -212,3 +214,19 @@ def read_netlist(source: _PathOrIO, name: str = "") -> Hypergraph:
     finally:
         if owned:
             stream.close()
+
+
+def load_netlist(path: Union[str, Path]) -> Hypergraph:
+    """Read a netlist file by extension: ``.nets``, ``.blif``, else ``.hgr``.
+
+    ``read_hgr`` is looked up in this module at call time, so a wrapper
+    installed on ``repro.hypergraph.io.read_hgr`` sees every load.
+    """
+    file = Path(path)
+    if not file.exists():
+        raise FileNotFoundError(f"no such netlist file: {path}")
+    if file.suffix == ".nets":
+        return read_netlist(file)
+    if file.suffix == ".blif":
+        return read_blif(file)
+    return read_hgr(file)

@@ -48,6 +48,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
+from .trace import cost_fields
+
 try:  # POSIX only; Windows degrades to unlocked single-writer mode.
     import fcntl
 except ImportError:  # pragma: no cover - exercised on Windows only
@@ -116,6 +118,27 @@ class RunRecord:
     created_utc: str = ""
     labels: Dict[str, str] = field(default_factory=dict)
     schema: int = RUNSTORE_SCHEMA
+
+    @classmethod
+    def from_result(cls, result, config, run_id, labels=None) -> "RunRecord":
+        """The record of an ``FpartResult`` run under ``config``."""
+        from ..core.checkpoint import config_digest
+
+        return cls(
+            run_id=run_id,
+            circuit=result.circuit,
+            device=result.device,
+            status=result.status,
+            num_devices=result.num_devices,
+            lower_bound=result.lower_bound,
+            feasible=result.feasible,
+            cost=cost_fields(result.cost) if result.cost is not None else None,
+            wall_seconds=result.runtime_seconds,
+            iterations=result.iterations,
+            config_digest=config_digest(config),
+            seed=config.seed,
+            labels=dict(labels or {}),
+        )
 
     def to_json_line(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)

@@ -65,6 +65,7 @@ daemon cannot afford to run jobs on its scheduler thread.
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -124,14 +125,23 @@ class TaskOutcome:
         return self.status == "ok"
 
 
-def _worker_main(conn) -> None:
+def _worker_main(conn, inherited=()) -> None:
     """Worker loop: receive a task, run it, report, repeat until EOF.
 
     Runs in the child process.  Every exit from the task callable —
     return, raise — is converted into one complete, synchronous
     ``send`` before the next ``recv``, so the parent's view of this
     pipe is always a whole message or a clean break.
+
+    A forked worker inherits its parent's signal handlers and pipe
+    ends.  SIGTERM goes back to its default, so ``terminate()`` stops
+    the worker whatever the parent installed (``fpart serve`` catches
+    SIGTERM); closing the ``inherited`` parent-side ends makes ``recv``
+    see EOF once the parent dies.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    for end in inherited:
+        end.close()
     while True:
         try:
             item = conn.recv()
@@ -472,8 +482,9 @@ class WorkerPool:
         if self._ctx is None:
             self._ctx = multiprocessing.get_context()
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        inherited = [parent_conn] + [slot.conn for slot in self._slots]
         process = self._ctx.Process(
-            target=_worker_main, args=(child_conn,), daemon=True
+            target=_worker_main, args=(child_conn, inherited), daemon=True
         )
         process.start()
         child_conn.close()

@@ -155,22 +155,10 @@ def _restart_worker(
         from ..obs.runstore import RunRecord, RunStore
 
         RunStore(runs_dir).record_run(
-            RunRecord(
-                run_id=run_id,
-                circuit=result.circuit,
-                device=result.device,
-                method="FPART",
-                status=result.status,
-                num_devices=result.num_devices,
-                lower_bound=result.lower_bound,
-                feasible=result.feasible,
-                cost=cost_fields(result.cost)
-                if result.cost is not None
-                else None,
-                wall_seconds=result.runtime_seconds,
-                iterations=result.iterations,
-                config_digest=_digest(config),
-                seed=seed,
+            RunRecord.from_result(
+                result,
+                config,
+                run_id,
                 labels={
                     "portfolio": portfolio_id,
                     "restart": str(index),
@@ -180,12 +168,6 @@ def _restart_worker(
             metrics=snapshot,
         )
     return {"result": result, "metrics": snapshot}
-
-
-def _digest(config: FpartConfig) -> str:
-    from ..core.checkpoint import config_digest
-
-    return config_digest(config)
 
 
 def _worker_deadline(

@@ -43,7 +43,7 @@ from .server import (
     serve_forever_in_thread,
 )
 from .top import discover_endpoint, histogram_quantile, render_top, run_top
-from .worker import job_config, load_netlist, run_partition_job
+from .worker import job_config, run_partition_job
 
 __all__ = [
     "JOURNAL_SCHEMA",
@@ -60,7 +60,6 @@ __all__ = [
     "AdmissionDecision",
     "AdmissionController",
     "job_config",
-    "load_netlist",
     "run_partition_job",
     "ServiceConfig",
     "PartitionService",

@@ -19,11 +19,12 @@ would have produced — the property the kill/restart CI job asserts.
 
 Idempotency
 -----------
-Submissions are keyed by a digest over (netlist content, device, delta,
-budget-masked config digest).  A duplicate of an in-flight job attaches
-to it; a duplicate of a finished job is served from the table without
-touching the pool.  ``stats()["tasks_submitted"]`` counts actual pool
-submissions, which is how the tests *prove* zero recomputation.
+Submissions are keyed by a digest over (netlist content, resolved
+device and filling ratio, budget-masked config digest).  A duplicate of
+an in-flight job attaches to it; a duplicate of a finished job is
+served from the table without touching the pool.
+``stats()["tasks_submitted"]`` counts actual pool submissions, which is
+how the tests *prove* zero recomputation.
 
 Threading
 ---------
@@ -50,6 +51,7 @@ from typing import Dict, List, Optional
 
 from ..core.checkpoint import CheckpointManager, config_digest
 from ..core.exceptions import CheckpointError
+from ..core.request import PartitionRequest
 from ..obs.export import to_openmetrics
 from ..obs.metrics import MetricsRegistry, NULL_METRICS
 from ..obs.spans import NULL_SPANS, SpanLog, new_trace_id
@@ -58,7 +60,7 @@ from ..parallel.pool import ParallelTask, TaskOutcome, WorkerPool
 from .jobs import Job, JobError, JobSpec, JobTable, TERMINAL_STATES
 from .journal import Journal
 from .queue import AdmissionController, AdmissionDecision, TenantPolicy
-from .worker import job_config, run_partition_job
+from .worker import run_partition_job
 
 __all__ = ["ServiceConfig", "PartitionService", "submission_digest"]
 
@@ -83,27 +85,26 @@ DEFAULT_RETRY_BACKOFF = BackoffPolicy(
 )
 
 
-def submission_digest(
-    netlist: str, device: str, delta: Optional[float], config_overrides: Dict
-) -> str:
+#: Job fields a journal ``state`` or ``snapshot`` record carries.
+_REPLAYED = (
+    "attempts", "next_attempt_at", "result", "error", "trace_id", "open_spans",
+)
+
+
+def submission_digest(request: PartitionRequest) -> str:
     """Idempotency key of one submission.
 
     Hashes the netlist *content* (two paths to the same file dedupe;
-    an edited netlist does not), the device/delta pair (``None`` is the
-    catalog ratio), and the
-    budget-masked config digest — so two submissions differing only in
-    budget knobs still dedupe onto one computation, matching the
-    checkpoint compatibility rule.
+    an edited netlist does not), the *resolved* device — catalog name
+    and effective filling ratio, so ``delta: null`` and the catalog δ
+    are one job — and the budget-masked config digest, so two
+    submissions differing only in budget knobs still dedupe onto one
+    computation, matching the checkpoint compatibility rule.
     """
-    file_sha = hashlib.sha256(Path(netlist).read_bytes()).hexdigest()
-    # ``test_*`` keys are fault-injection hooks, not search parameters —
-    # they are stripped here exactly like budget knobs are masked by
-    # ``config_digest``.
-    overrides = {
-        k: v for k, v in config_overrides.items() if not k.startswith("test_")
-    }
-    cfg_sha = config_digest(job_config(overrides))
-    blob = f"{file_sha}|{device.upper()}|{delta}|{cfg_sha}"
+    file_sha = hashlib.sha256(Path(request.netlist).read_bytes()).hexdigest()
+    device = request.resolve_device()
+    cfg_sha = config_digest(request.resolve_config())
+    blob = f"{file_sha}|{device.name}|{float(device.delta)}|{cfg_sha}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -216,16 +217,8 @@ class PartitionService:
                 if job.job_id not in self._table:
                     self._table.add(job)
                 else:
-                    self._table.apply_raw(
-                        job.job_id,
-                        job.state,
-                        attempts=job.attempts,
-                        next_attempt_at=job.next_attempt_at,
-                        result=job.result,
-                        error=job.error,
-                        trace_id=job.trace_id,
-                        open_spans=job.open_spans,
-                    )
+                    fields = {k: getattr(job, k) for k in _REPLAYED}
+                    self._table.apply_raw(job.job_id, job.state, **fields)
             elif event == "state":
                 job_id = record["job_id"]
                 if record["state"] == "queued":
@@ -236,25 +229,23 @@ class PartitionService:
                     else:
                         requeue_counter.inc()
                 if job_id in self._table:
-                    self._table.apply_raw(
-                        job_id,
-                        record["state"],
-                        **{
-                            k: record[k]
-                            for k in (
-                                "attempts",
-                                "next_attempt_at",
-                                "result",
-                                "error",
-                                "trace_id",
-                                "open_spans",
-                            )
-                            if k in record
-                        },
-                    )
+                    fields = {k: record[k] for k in _REPLAYED if k in record}
+                    self._table.apply_raw(job_id, record["state"], **fields)
             elif event == "recovered":
                 requeue_counter.inc()
             # Other events ("drain", ...) are audit-only.
+        for job in self._table.by_state("queued", "admitted", "running"):
+            try:
+                job.spec.validate()
+            except JobError as error:
+                # Admission checks only get stricter: a spec an older
+                # daemon accepted fails its job here, never the boot.
+                message = f"{type(error).__name__}: {error}"
+                self._journal.append(
+                    "state", job_id=job.job_id, state="failed", error=message
+                )
+                self._table.apply_raw(job.job_id, "failed", error=message)
+                self._close_job_spans_locked(job, "failed")
         requeued = 0
         for job in self._table.by_state("admitted", "running"):
             # Journalled as started but no terminal event: the previous
@@ -263,20 +254,8 @@ class PartitionService:
             # The attempt span that process left open is closed here
             # with ``crashed`` — replay is the only writer that still
             # knows its id (journalled with the ``admitted`` event).
-            attempt_span = job.open_spans.pop("attempt", "")
-            if attempt_span:
-                self.spans.end(
-                    attempt_span, job.trace_id, "crashed",
-                    job_id=job.job_id, recovered=True,
-                )
-            if job.trace_id and "job" in job.open_spans:
-                job.open_spans["queued"] = self.spans.start(
-                    "queued",
-                    job.trace_id,
-                    job.open_spans["job"],
-                    job_id=job.job_id,
-                    reason="recovered",
-                )
+            self._end_span_locked(job, "attempt", "crashed", recovered=True)
+            self._start_queued_span_locked(job, reason="recovered")
             self._table.apply_raw(job.job_id, "queued")
             self._journal.append(
                 "recovered", job_id=job.job_id, state="queued"
@@ -348,20 +327,10 @@ class PartitionService:
             # lossless.
             requeued = []
             for job in self._table.by_state("running", "admitted"):
-                attempt_span = job.open_spans.pop("attempt", "")
-                if attempt_span:
-                    self.spans.end(
-                        attempt_span, job.trace_id, "requeued",
-                        job_id=job.job_id, reason="drain",
-                    )
-                if job.trace_id and "job" in job.open_spans:
-                    job.open_spans["queued"] = self.spans.start(
-                        "queued",
-                        job.trace_id,
-                        job.open_spans["job"],
-                        job_id=job.job_id,
-                        reason="drain",
-                    )
+                self._end_span_locked(
+                    job, "attempt", "requeued", reason="drain"
+                )
+                self._start_queued_span_locked(job, reason="drain")
                 self._table.set_state(job.job_id, "queued")
                 self._journal.append(
                     "state", job_id=job.job_id, state="queued"
@@ -398,19 +367,13 @@ class PartitionService:
         trace_id = trace_id or new_trace_id()
         try:
             spec = JobSpec.from_dict(payload)
-            digest = submission_digest(
-                spec.netlist, spec.device, spec.delta, spec.config
-            )
-        except (JobError, ValueError, KeyError, TypeError) as error:
-            self.metrics.counter(
-                "serve.rejected", labels={"code": "400"}
-            ).inc()
-            return {"status": 400, "error": str(error)}
+            digest = submission_digest(spec)
         except FileNotFoundError as error:
-            self.metrics.counter(
-                "serve.rejected", labels={"code": "404"}
-            ).inc()
-            return {"status": 404, "error": str(error)}
+            return self._reject(404, str(error))
+        except (ValueError, OSError) as error:
+            # A failed admission check (JobError), or a netlist path
+            # that exists but cannot be read as a file.
+            return self._reject(400, str(error))
 
         with self._lock:
             self._stats["submissions"] += 1
@@ -444,18 +407,11 @@ class PartitionService:
             )
             if not decision.accepted:
                 self._stats["rejected"] += 1
-                self.metrics.counter(
-                    "serve.rejected",
-                    labels={"code": str(decision.http_status)},
-                ).inc()
                 self.spans.end(
                     admission_span, trace_id, "rejected",
                     code=decision.http_status, reason=decision.reason,
                 )
-                response = {
-                    "status": decision.http_status,
-                    "error": decision.reason,
-                }
+                response = self._reject(decision.http_status, decision.reason)
                 if decision.retry_after is not None:
                     response["retry_after"] = decision.retry_after
                 return response
@@ -480,14 +436,18 @@ class PartitionService:
                 job_id=job.job_id, tenant=spec.tenant, digest=digest,
             )
             job.open_spans["job"] = root
-            job.open_spans["queued"] = self.spans.start(
-                "queued", trace_id, root, job_id=job.job_id
-            )
+            self._start_queued_span_locked(job)
             # Write-ahead: journal first, then mutate the table.
             self._journal.append("submitted", job=job.to_dict())
             self._table.add(job)
         self._wake.set()
         return {"status": 201, "dedup": None, "job": job.to_dict()}
+
+    def _reject(self, status: int, error: str) -> Dict:
+        self.metrics.counter(
+            "serve.rejected", labels={"code": str(status)}
+        ).inc()
+        return {"status": status, "error": error}
 
     def cancel(self, job_id: str) -> Dict:
         with self._lock:
@@ -497,25 +457,42 @@ class PartitionService:
                 return {"status": 404, "error": str(error)}
             if job.terminal:
                 return {"status": 409, "error": f"job is {job.state}"}
-            self._journal.append("state", job_id=job_id, state="cancelled")
-            self._table.set_state(job_id, "cancelled")
-            self._close_job_spans_locked(job, "cancelled")
+            self._finish_locked(job, "cancelled")
         self._wake.set()
         return {"status": 200, "job": job.to_dict()}
 
+    def _finish_locked(self, job: Job, state: str, **updates) -> None:
+        """Journal, then apply, a terminal state; close the job's spans."""
+        self._journal.append(
+            "state", job_id=job.job_id, state=state, **updates
+        )
+        self._table.set_state(job.job_id, state, **updates)
+        self._close_job_spans_locked(job, state)
+
+    def _end_span_locked(
+        self, job: Job, role: str, status: str, **fields
+    ) -> bool:
+        """Close the job's open ``role`` span, if any; True if it was."""
+        span_id = job.open_spans.pop(role, "")
+        if span_id:
+            self.spans.end(
+                span_id, job.trace_id, status, job_id=job.job_id, **fields
+            )
+        return bool(span_id)
+
+    def _start_queued_span_locked(self, job: Job, **fields) -> None:
+        """Open the job's next ``queued`` wait under its root span."""
+        if job.trace_id and "job" in job.open_spans:
+            job.open_spans["queued"] = self.spans.start(
+                "queued", job.trace_id, job.open_spans["job"],
+                job_id=job.job_id, **fields,
+            )
+
     def _close_job_spans_locked(self, job: Job, status: str) -> None:
         """Close every open span of a job hitting a terminal state."""
-        for role in ("queued", "attempt"):
-            span_id = job.open_spans.pop(role, "")
-            if span_id:
-                self.spans.end(
-                    span_id, job.trace_id, status, job_id=job.job_id
-                )
-        root = job.open_spans.pop("job", "")
-        if root:
-            self.spans.end(
-                root, job.trace_id, status, job_id=job.job_id
-            )
+        self._end_span_locked(job, "queued", status)
+        self._end_span_locked(job, "attempt", status)
+        if self._end_span_locked(job, "job", status):
             self._observe_ms(
                 "serve.submit_to_terminal_ms", time.time() - job.created
             )
@@ -720,26 +697,13 @@ class PartitionService:
             self._next_index += 1
             attempt = job.attempts + 1
             spec = job.spec
-            sleep = 0.0
-            crashes = 0
-            if self.config.allow_test_hooks:
-                sleep = float(spec.config.get("test_sleep_seconds", 0.0))
-                crashes = int(spec.config.get("test_crash_attempts", 0))
-            overrides = {
-                k: v
-                for k, v in spec.config.items()
-                if k not in ("test_sleep_seconds", "test_crash_attempts")
-            }
             # Spans: the queued wait ends here, the attempt begins; its
             # id crosses the process boundary as a plain kwarg so the
             # worker's ``partition-run`` span parents under it.
-            queued_span = job.open_spans.pop("queued", "")
-            if queued_span:
-                wait = max(now - job.updated, 0.0)
-                self.spans.end(
-                    queued_span, job.trace_id, "admitted",
-                    job_id=job.job_id, wait_ms=round(wait * 1000, 1),
-                )
+            wait = max(now - job.updated, 0.0)
+            if self._end_span_locked(
+                job, "queued", "admitted", wait_ms=round(wait * 1000, 1)
+            ):
                 self._observe_ms("serve.queue_wait_ms", wait)
             attempt_span = ""
             if job.trace_id:
@@ -756,15 +720,12 @@ class PartitionService:
                 kwargs={
                     "job_id": job.job_id,
                     "attempt": attempt,
-                    "netlist": spec.netlist,
-                    "device_name": spec.device,
-                    "delta": spec.delta,
-                    "config_overrides": overrides,
+                    "request": spec,
                     "job_dir": str(self.job_dir(job.job_id)),
                     "runs_dir": str(self.runs_dir),
                     "tenant": spec.tenant,
-                    "test_sleep_seconds": sleep,
-                    "test_crash_attempts": crashes,
+                    # Hook names are the worker's parameter names.
+                    **(spec.hooks if self.config.allow_test_hooks else {}),
                     "trace_id": job.trace_id,
                     "parent_span_id": attempt_span,
                     "prof_slow_ms": self.config.prof_slow_ms,
@@ -815,37 +776,26 @@ class PartitionService:
             # The attempt span closes with the pool's verdict whatever
             # it is — a worker that died mid-span cannot close it, so
             # the daemon does (status ``crashed``/``timeout``).
-            attempt_span = job.open_spans.pop("attempt", "")
-            if attempt_span:
-                self.spans.end(
-                    attempt_span, job.trace_id, outcome.status,
-                    job_id=job_id,
-                    wall_ms=round(outcome.wall_seconds * 1000, 1),
-                )
+            self._end_span_locked(
+                job, "attempt", outcome.status,
+                wall_ms=round(outcome.wall_seconds * 1000, 1),
+            )
             self._observe_ms("serve.attempt_wall_ms", outcome.wall_seconds)
             if outcome.status == "ok":
                 summary = outcome.value
                 state = (
                     "done" if summary.get("status") == "feasible" else "degraded"
                 )
-                self._journal.append(
-                    "state", job_id=job_id, state=state, result=summary
-                )
-                self._table.set_state(job_id, state, result=summary)
+                self._finish_locked(job, state, result=summary)
                 self._stats["completed"] += 1
                 self.metrics.counter("serve.completed").inc()
                 if summary.get("profile_captured"):
                     self.metrics.counter("serve.profiles_captured").inc()
-                self._close_job_spans_locked(job, state)
                 return
             if outcome.status == "error":
                 # The job itself raised: deterministic, retry would fail
                 # the same way.
-                self._journal.append(
-                    "state", job_id=job_id, state="failed", error=outcome.error
-                )
-                self._table.set_state(job_id, "failed", error=outcome.error)
-                self._close_job_spans_locked(job, "failed")
+                self._finish_locked(job, "failed", error=outcome.error)
                 return
             # crashed / timeout / not_run: the environment failed, not
             # the job.  Retry with backoff until attempts run out, then
@@ -855,15 +805,11 @@ class PartitionService:
                     job.attempts - 1, key=job_id
                 )
                 next_at = time.time() + delay
-                if job.trace_id and "job" in job.open_spans:
-                    job.open_spans["queued"] = self.spans.start(
-                        "queued",
-                        job.trace_id,
-                        job.open_spans["job"],
-                        job_id=job_id,
-                        reason=outcome.status,
-                        retry_delay_ms=round(delay * 1000, 1),
-                    )
+                self._start_queued_span_locked(
+                    job,
+                    reason=outcome.status,
+                    retry_delay_ms=round(delay * 1000, 1),
+                )
                 self._journal.append(
                     "state",
                     job_id=job_id,
@@ -893,14 +839,7 @@ class PartitionService:
                         f"{outcome.status} after {job.attempts} attempts "
                         f"with no checkpoint to degrade to"
                     )
-                self._journal.append(
-                    "state", job_id=job_id, state=state,
-                    result=summary, error=error,
-                )
-                self._table.set_state(
-                    job_id, state, result=summary, error=error
-                )
-                self._close_job_spans_locked(job, state)
+                self._finish_locked(job, state, result=summary, error=error)
         self._wake.set()
 
     def _best_so_far(self, job_id: str) -> Optional[Dict]:

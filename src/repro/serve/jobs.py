@@ -30,12 +30,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
+
+from ..core.request import PartitionRequest, RequestError
 
 __all__ = [
     "JOB_STATES",
     "TERMINAL_STATES",
     "TRANSITIONS",
+    "TEST_HOOKS",
     "JobError",
     "JobSpec",
     "Job",
@@ -71,46 +74,64 @@ class JobError(ValueError):
     """Invalid job spec or state transition."""
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """What the client asked for — everything needed to run the job.
+#: Fault-injection hooks a spec may carry in ``config`` (DESIGN.md §10);
+#: the daemon forwards them only when it runs with test hooks enabled.
+TEST_HOOKS = ("test_sleep_seconds", "test_crash_attempts")
 
-    ``config`` holds FpartConfig field overrides by name (only the
-    fields the client set); the worker applies them over
-    ``DEFAULT_CONFIG`` so the service and CLI share one default story.
-    ``delta`` likewise defaults to ``None``: the device's catalog
-    filling ratio, exactly what ``fpart partition`` uses without
-    ``--delta``.
+
+@dataclass(frozen=True)
+class JobSpec(PartitionRequest):
+    """What the client asked for: a request, plus who asked and why.
+
+    The request is checked and resolved exactly as ``fpart partition``
+    resolves its flags.  :attr:`overrides` is ``config`` without the
+    :data:`TEST_HOOKS`, so hooks never reach the run or the digest.
     """
 
-    netlist: str
-    device: str = "XC3042"
-    delta: Optional[float] = None
-    config: Dict = field(default_factory=dict)
     tenant: str = "default"
     priority: int = 0
     label: str = ""
 
+    @property
+    def overrides(self) -> Dict:
+        return {k: v for k, v in self.config.items() if k not in TEST_HOOKS}
+
+    @property
+    def hooks(self) -> Dict:
+        return {k: v for k, v in self.config.items() if k in TEST_HOOKS}
+
     def validate(self) -> None:
-        if not self.netlist:
-            raise JobError("job spec requires a netlist path")
-        # The worker's Device demands 0 < delta <= 1; reject here so a
-        # bad filling ratio is a 400 at admission, not a failed job.
-        if self.delta is not None and not (0.0 < float(self.delta) <= 1.0):
-            raise JobError(f"delta must be in (0, 1], got {self.delta}")
-        if not isinstance(self.config, dict):
-            raise JobError("config overrides must be a mapping")
-        if not self.tenant:
-            raise JobError("tenant must be non-empty")
+        try:
+            super().validate()
+        except RequestError as error:
+            raise JobError(str(error)) from None
+        for name, value in self.hooks.items():
+            if type(value) not in (int, float):
+                raise JobError(f"{name} must be a number, got {value!r}")
+        if type(self.tenant) is not str or not self.tenant:
+            raise JobError("tenant must be a non-empty string")
 
     def to_dict(self) -> Dict:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: Dict) -> "JobSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        spec = cls(**{k: v for k, v in dict(data).items() if k in known})
-        spec.validate()
+    def from_dict(cls, data: Dict, strict: bool = True) -> "JobSpec":
+        """Parse a spec: ``strict`` for admission, ``False`` for replay.
+
+        Admission rejects unknown keys and validates.  Replay keeps the
+        known fields and checks nothing, so a spec an older daemon
+        accepted cannot stop boot (``_recover`` fails its job instead).
+        """
+        if not isinstance(data, dict):
+            raise JobError("job spec must be a JSON object")
+        known = set(cls.__dataclass_fields__)
+        unknown = sorted(set(data) - known)
+        if strict and unknown:
+            raise JobError(f"unknown job spec keys: {', '.join(unknown)}")
+        fields = {k: v for k, v in data.items() if k in known}
+        spec = cls(**{"netlist": "", **fields})
+        if strict:
+            spec.validate()
         return spec
 
 
@@ -147,25 +168,15 @@ class Job:
 
     def to_dict(self) -> Dict:
         return {
-            "job_id": self.job_id,
+            **vars(self),
             "spec": self.spec.to_dict(),
-            "digest": self.digest,
-            "state": self.state,
-            "attempts": self.attempts,
-            "max_attempts": self.max_attempts,
-            "next_attempt_at": self.next_attempt_at,
-            "result": self.result,
-            "error": self.error,
-            "created": self.created,
-            "updated": self.updated,
-            "trace_id": self.trace_id,
             "open_spans": dict(self.open_spans),
         }
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Job":
         data = dict(data)
-        spec = JobSpec.from_dict(data.pop("spec"))
+        spec = JobSpec.from_dict(data.pop("spec"), strict=False)
         known = {f for f in cls.__dataclass_fields__}
         return cls(
             spec=spec,

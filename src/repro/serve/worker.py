@@ -5,9 +5,9 @@ daemon submits to its persistent :class:`~repro.parallel.pool.WorkerPool`.
 It owns everything that must happen *inside* the worker process for one
 attempt of one job:
 
-* load the netlist (same extension autodetection as the CLI);
-* materialise the config from the job's overrides over
-  ``DEFAULT_CONFIG``;
+* resolve the job's :class:`~repro.core.request.PartitionRequest` into
+  a netlist, a device and a config — the same resolution ``fpart
+  partition`` uses;
 * **always checkpoint, every iteration** — the service's recovery story
   is the repo's existing bit-identical checkpoint/resume contract, so a
   job whose worker (or whole daemon) is SIGKILL'd resumes from its last
@@ -29,49 +29,21 @@ disk next to the job.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from ..core.checkpoint import CheckpointManager, config_digest
-from ..core.config import DEFAULT_CONFIG, FpartConfig
-from ..core.device import device_by_name
+from ..core.checkpoint import CheckpointManager
 from ..core.exceptions import CheckpointError
 from ..core.fpart import FpartPartitioner
+from ..core.request import PartitionRequest
+from ..core.request import resolve_config as job_config  # the serve name
 from ..obs.progress import HeartbeatEmitter
 from ..obs.trace import TraceWriter, cost_fields
 
-__all__ = ["run_partition_job", "load_netlist", "job_config"]
-
-
-def load_netlist(path: str):
-    """Load a netlist by extension, mirroring the CLI's autodetection."""
-    from ..hypergraph.io import read_hgr, read_netlist
-
-    file = Path(path)
-    if not file.exists():
-        raise FileNotFoundError(f"no such netlist file: {path}")
-    if file.suffix == ".nets":
-        return read_netlist(file)
-    if file.suffix == ".blif":
-        from ..hypergraph.blif import read_blif
-
-        return read_blif(file)
-    return read_hgr(file)
-
-
-def job_config(overrides: Dict[str, Any]) -> FpartConfig:
-    """Config for one job: client overrides applied over the default."""
-    if not overrides:
-        return DEFAULT_CONFIG
-    known = {f.name for f in dataclasses.fields(FpartConfig)}
-    unknown = sorted(set(overrides) - known)
-    if unknown:
-        raise ValueError(f"unknown config fields: {', '.join(unknown)}")
-    return dataclasses.replace(DEFAULT_CONFIG, **overrides)
+__all__ = ["run_partition_job", "job_config"]
 
 
 def _write_result_json(job_dir: Path, payload: Dict) -> None:
@@ -86,10 +58,7 @@ def _write_result_json(job_dir: Path, payload: Dict) -> None:
 def run_partition_job(
     job_id: str,
     attempt: int,
-    netlist: str,
-    device_name: str,
-    delta: Optional[float],
-    config_overrides: Dict[str, Any],
+    request: PartitionRequest,
     job_dir: str,
     runs_dir: Optional[str] = None,
     tenant: str = "default",
@@ -100,7 +69,7 @@ def run_partition_job(
     prof_slow_ms: Optional[float] = None,
     profiles_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Run one attempt of one job; returns a JSON-safe summary.
+    """Run one attempt of one job's ``request``; returns a JSON summary.
 
     The two ``test_*`` parameters are fault-injection seams, forwarded
     by the service only when it runs with test hooks enabled:
@@ -133,12 +102,7 @@ def run_partition_job(
 
     directory = Path(job_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    hg = load_netlist(netlist)
-    # ``None`` keeps the catalog filling ratio, as the CLI does.
-    device = device_by_name(device_name)
-    if delta is not None:
-        device = device.with_delta(delta)
-    config = job_config(config_overrides)
+    hg, device, config = request.resolve()
 
     # Every serve job checkpoints every iteration: the checkpoint IS the
     # recovery mechanism, and its resume path is bit-identical (PR 2).
@@ -206,73 +170,51 @@ def run_partition_job(
             run_id, trace_id, wall,
         )
 
-    cost = cost_fields(result.cost) if result.cost is not None else None
     if runs_dir is not None:
         from ..obs.runstore import RunRecord, RunStore, RunStoreError
 
+        labels = {"job": job_id, "attempt": str(attempt), "tenant": tenant}
+        if trace_id:
+            labels["trace_id"] = trace_id
         try:
             RunStore(runs_dir).record_run(
-                RunRecord(
-                    run_id=run_id,
-                    circuit=result.circuit,
-                    device=result.device,
-                    method="FPART",
-                    status=result.status,
-                    num_devices=result.num_devices,
-                    lower_bound=result.lower_bound,
-                    feasible=result.feasible,
-                    cost=cost,
-                    wall_seconds=result.runtime_seconds,
-                    iterations=result.iterations,
-                    config_digest=config_digest(config),
-                    seed=config.seed,
-                    labels={
-                        "job": job_id,
-                        "attempt": str(attempt),
-                        "tenant": tenant,
-                        **({"trace_id": trace_id} if trace_id else {}),
-                    },
-                )
+                RunRecord.from_result(result, config, run_id, labels=labels)
             )
         except RunStoreError:
             # The run store is observability, not correctness: a
             # recording failure must not fail a finished job.
             pass
 
+    # What the daemon journals; result.json adds the assignment.
+    summary = {
+        "run_id": run_id,
+        "attempt": attempt,
+        "status": result.status,
+        "num_devices": result.num_devices,
+        "lower_bound": result.lower_bound,
+        "feasible": result.feasible,
+        "cost": cost_fields(result.cost) if result.cost is not None else None,
+        "iterations": result.iterations,
+        "resumed": resumed,
+    }
     _write_result_json(
         directory,
         {
+            **summary,
             "job_id": job_id,
-            "attempt": attempt,
-            "run_id": run_id,
             "trace_id": trace_id,
-            "status": result.status,
             "circuit": result.circuit,
             "device": result.device,
-            "num_devices": result.num_devices,
-            "lower_bound": result.lower_bound,
-            "feasible": result.feasible,
-            "cost": cost,
-            "iterations": result.iterations,
             "wall_seconds": result.runtime_seconds,
             "assignment": list(result.assignment)
             if result.assignment is not None
             else None,
             "error": result.error,
-            "resumed": resumed,
         },
     )
     return {
-        "run_id": run_id,
-        "status": result.status,
-        "num_devices": result.num_devices,
-        "lower_bound": result.lower_bound,
-        "feasible": result.feasible,
-        "cost": cost,
-        "iterations": result.iterations,
+        **summary,
         "wall_seconds": round(wall, 3),
-        "resumed": resumed,
-        "attempt": attempt,
         "profile_captured": profile_captured,
     }
 

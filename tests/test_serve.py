@@ -282,10 +282,16 @@ def netlist_file(tmp_path):
     return path
 
 
+def digest(netlist, device="XC3042", delta=0.1, config=None):
+    return submission_digest(
+        JobSpec(str(netlist), device, delta, dict(config or {}))
+    )
+
+
 class TestSubmissionDigest:
     def test_same_request_same_digest(self, netlist_file):
-        a = submission_digest(str(netlist_file), "XC3042", 0.1, {})
-        b = submission_digest(str(netlist_file), "xc3042", 0.1, {})
+        a = digest(netlist_file, "XC3042")
+        b = digest(netlist_file, "xc3042")
         assert a == b  # device case-insensitive
 
     def test_content_addressed_not_path_addressed(
@@ -293,26 +299,29 @@ class TestSubmissionDigest:
     ):
         copy = tmp_path / "copy.hgr"
         copy.write_bytes(netlist_file.read_bytes())
-        assert submission_digest(
-            str(copy), "XC3042", 0.1, {}
-        ) == submission_digest(str(netlist_file), "XC3042", 0.1, {})
+        assert digest(copy) == digest(netlist_file)
 
     def test_search_params_change_digest(self, netlist_file):
-        base = submission_digest(str(netlist_file), "XC3042", 0.1, {})
-        assert submission_digest(
-            str(netlist_file), "XC3042", 0.1, {"seed": 9}
-        ) != base
-        assert submission_digest(str(netlist_file), "XC3020", 0.1, {}) != base
-        assert submission_digest(str(netlist_file), "XC3042", 0.2, {}) != base
+        base = digest(netlist_file)
+        assert digest(netlist_file, config={"seed": 9}) != base
+        assert digest(netlist_file, "XC3020") != base
+        assert digest(netlist_file, delta=0.2) != base
 
     def test_budget_and_test_hooks_do_not_change_digest(self, netlist_file):
-        base = submission_digest(str(netlist_file), "XC3042", 0.1, {})
-        assert submission_digest(
-            str(netlist_file),
-            "XC3042",
-            0.1,
-            {"deadline_seconds": 5.0, "test_sleep_seconds": 1.0},
+        base = digest(netlist_file)
+        assert digest(
+            netlist_file,
+            config={"deadline_seconds": 5.0, "test_sleep_seconds": 1.0},
         ) == base
+
+    def test_catalog_delta_and_null_delta_are_one_digest(self, netlist_file):
+        """The digest hashes the resolved device, not the raw δ."""
+        assert digest(netlist_file, delta=None) == digest(
+            netlist_file, delta=0.9
+        )
+        assert digest(netlist_file, "XC2064", None) == digest(
+            netlist_file, "XC2064", 1.0
+        )
 
 
 # ---------------------------------------------------------------------------

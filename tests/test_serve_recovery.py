@@ -247,3 +247,130 @@ class TestKillRestartRecovery:
             )
         finally:
             stop_daemon(process)
+
+
+def child_pids(pid):
+    """Live child processes of ``pid``, read from ``/proc``."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        # The command name may hold spaces; the fields after it do not.
+        fields = stat.rsplit(")", 1)[1].split()
+        if int(fields[1]) == pid and fields[0] not in ("Z", "X"):
+            children.append(int(entry.name))
+    return children
+
+
+def running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+def wait_gone(pids, timeout):
+    deadline = time.monotonic() + timeout
+    while any(running(pid) for pid in pids):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+def kill_all(pids):
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except OSError:
+            pass
+
+
+def running_workers(process, client, job_id):
+    """Wait for ``job_id`` to run; returns the daemon's pool children."""
+    deadline = time.monotonic() + 15
+    while time.monotonic() < deadline:
+        workers = child_pids(process.pid)
+        if client.job(job_id)["job"]["state"] == "running" and workers:
+            return workers
+        time.sleep(0.05)
+    raise AssertionError("job never reached running")
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="reads /proc"
+)
+class TestWorkerLifetime:
+    """Pool workers never outlive the daemon or a timed-out attempt."""
+
+    def test_sigkilled_daemon_leaves_no_worker(self, tmp_path, netlist_file):
+        process, client = start_daemon(tmp_path / "state")
+        workers = []
+        try:
+            job_id = client.submit({"netlist": str(netlist_file)})["job"][
+                "job_id"
+            ]
+            assert client.wait(job_id, timeout=90)["state"] == "done"
+            workers = child_pids(process.pid)
+            assert workers, "the finished job's worker should idle"
+        finally:
+            stop_daemon(process)
+        try:
+            # Nobody writes to the worker's pipe any more: it must see
+            # EOF and exit on its own.
+            assert wait_gone(workers, timeout=5.0), (
+                f"workers {workers} outlived the SIGKILLed daemon"
+            )
+        finally:
+            kill_all(workers)
+
+    def _timed_out_job(self, tmp_path, netlist_file):
+        process, client = start_daemon(
+            tmp_path / "state",
+            "--job-timeout", "1",
+            "--max-attempts", "1",
+            "--drain-seconds", "1",
+        )
+        response = client.submit(
+            {
+                "netlist": str(netlist_file),
+                "config": {"test_sleep_seconds": 20.0},
+            }
+        )
+        job_id = response["job"]["job_id"]
+        workers = running_workers(process, client, job_id)
+        final = client.wait(job_id, timeout=30)
+        return process, workers, final
+
+    def test_timed_out_worker_is_gone_when_job_ends(
+        self, tmp_path, netlist_file
+    ):
+        process, workers, final = self._timed_out_job(tmp_path, netlist_file)
+        try:
+            assert final["state"] == "failed"
+            assert "timeout" in final["error"]
+            alive = [pid for pid in workers if running(pid)]
+            assert not alive, f"timed-out worker {alive} still running"
+        finally:
+            stop_daemon(process)
+            kill_all(workers)
+
+    def test_sigterm_after_timeout_exits_within_drain(
+        self, tmp_path, netlist_file
+    ):
+        process, workers, final = self._timed_out_job(tmp_path, netlist_file)
+        try:
+            assert final["state"] == "failed"
+            process.send_signal(signal.SIGTERM)
+            # --drain-seconds 1, plus a margin for the HTTP shutdown.
+            process.wait(timeout=1 + 10)
+            assert process.returncode == 0
+        finally:
+            stop_daemon(process)
+            kill_all(workers)
