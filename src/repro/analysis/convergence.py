@@ -12,7 +12,9 @@ result: :func:`convergence_from_trace` extracts one point per engine
 pass (the paper's lexicographic tuple ``(f, d_k, T_SUM, d_k^E)`` at
 pass entry, closed by the run's final cost),
 :func:`render_pass_table` renders it as the deterministic per-pass
-convergence table behind ``fpart report --trace``, and
+convergence table behind ``fpart report --trace`` (closed by a count of
+the ``improve_skip`` events: engine work left out because its outcome
+was already known), and
 :func:`render_convergence_svg` draws a dependency-free SVG plot of the
 distance series.
 """
@@ -20,7 +22,7 @@ distance series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..core import FpartResult
 
@@ -181,8 +183,11 @@ def render_pass_table(events: Iterable[dict]) -> str:
 
     Columns are the paper's lexicographic tuple; the last row is the
     run's final cost.  Floats are rendered with fixed precision so the
-    same trace always produces byte-identical output.
+    same trace always produces byte-identical output.  A trace with
+    ``improve_skip`` events gets one more line counting them per reason
+    with the passes they avoided.
     """
+    events = list(events)
     points = convergence_from_trace(events)
     if not points:
         return "no pass data in trace"
@@ -201,6 +206,18 @@ def render_pass_table(events: Iterable[dict]) -> str:
         f"d_k: {sparkline(distances)}  "
         f"[{max(distances):.4f} .. {min(distances):.4f}]"
     )
+    skips: Dict[str, int] = {}
+    avoided = 0
+    for event in events:
+        if event.get("event") == "improve_skip":
+            reason = str(event.get("reason"))
+            skips[reason] = skips.get(reason, 0) + 1
+            avoided += int(event.get("passes_avoided", 0))
+    if skips:
+        counts = ", ".join(f"{skips[r]} {r}" for r in sorted(skips))
+        lines.append(
+            f"improve_skip: {counts}; {avoided} passes avoided"
+        )
     return "\n".join(lines)
 
 

@@ -66,7 +66,7 @@ from .exceptions import (
     UnpartitionableError,
 )
 from .feasibility import Feasibility, block_is_feasible, classify
-from .improve import improve
+from .improve import SettledStates, improve
 from .runguard import RunBudget, RunGuard
 from .strategy import iteration_schedule
 
@@ -508,6 +508,9 @@ class FpartPartitioner:
                         metrics=metrics,
                     )
 
+                # Iteration-scoped: steps often hand the same blocks back
+                # from the state the previous step settled.
+                settled = SettledStates()
                 for step in self._scheduled_steps(
                     state, remainder, new_block, m
                 ):
@@ -524,6 +527,7 @@ class FpartPartitioner:
                             guard=guard,
                             metrics=metrics,
                             tracer=tracer,
+                            settled=settled,
                         )
                     if self.keep_trace:
                         trace.append(

@@ -45,6 +45,7 @@ __all__ = [
     "TRACE_SCHEMA",
     "EVENT_TYPES",
     "REQUIRED_FIELDS",
+    "SKIP_REASONS",
     "TraceWriter",
     "NullTraceWriter",
     "NULL_TRACE",
@@ -63,6 +64,7 @@ EVENT_TYPES = (
     "pass_start",
     "move_batch",
     "solution_push",
+    "improve_skip",
     "lex_improve",
     "checkpoint",
     "progress",
@@ -77,6 +79,7 @@ REQUIRED_FIELDS: Dict[str, Tuple[str, ...]] = {
     "pass_start": ("pass_index", "blocks", "cost"),
     "move_batch": ("moves", "key"),
     "solution_push": ("stack", "cost"),
+    "improve_skip": ("reason", "blocks", "passes_avoided"),
     "lex_improve": ("iteration", "cost"),
     "checkpoint": ("iteration", "guard"),
     "progress": ("iteration", "moves", "elapsed_seconds"),
@@ -84,6 +87,11 @@ REQUIRED_FIELDS: Dict[str, Tuple[str, ...]] = {
     "span_start": ("span_id", "name"),
     "span_end": ("span_id", "status"),
 }
+
+#: Why ``improve()`` skipped engine work whose outcome it already knew:
+#: stacked restarts that replay a converged first run, or a call from a
+#: state an earlier call of the same iteration left settled.
+SKIP_REASONS = ("replay", "settled")
 
 #: Keys of the cost payload emitted by :func:`cost_fields`.
 COST_KEYS = ("f", "d_k", "t_sum", "d_k_e", "cut")
@@ -257,6 +265,15 @@ def validate_event(event: object) -> List[str]:
     for field in REQUIRED_FIELDS[kind]:
         if field not in event:
             errors.append(f"{kind}: missing field {field!r}")
+    if kind == "improve_skip":
+        if event.get("reason", SKIP_REASONS[0]) not in SKIP_REASONS:
+            errors.append(f"{kind}: unknown reason {event['reason']!r}")
+        avoided = event.get("passes_avoided", 0)
+        if not isinstance(avoided, int) or avoided < 0:
+            errors.append(
+                f"{kind}: passes_avoided is {avoided!r}, "
+                "expected a non-negative int"
+            )
     cost = event.get("cost")
     if cost is not None:
         if not isinstance(cost, dict):

@@ -103,6 +103,10 @@ class SanchisResult:
     best_cost: SolutionCost
     passes: int
     moves_applied: int
+    converged: bool
+    """True when the run stopped on a non-improving pass rather than at
+    ``max_passes``: the state then sits at a solution from which a
+    fresh run makes one failing pass and changes nothing."""
 
     @property
     def improved(self) -> bool:
@@ -608,6 +612,14 @@ class SanchisEngine:
     def run(self, observer: Optional[PassObserver] = None) -> SanchisResult:
         """Passes until one fails to improve (or ``max_passes``).
 
+        The engine is a deterministic function of its start state: a
+        pass seeds from ``sorted(free)`` with fresh lock counts, version
+        stamps and ``seq`` numbers, so a run started from the end of
+        pass ``i`` of another run with the same blocks, remainder and
+        region replays that run's passes ``i+1..n`` exactly.
+        ``improve()`` relies on this to skip restarts whose outcome is
+        already known.
+
         ``observer`` is called after each pass with the pass-best cost
         while the state sits at that solution — the hook the FPART driver
         uses to feed the solution stacks.
@@ -619,6 +631,7 @@ class SanchisEngine:
         tracer = self.tracer
         pass_timer = self.metrics.timer("sanchis.pass_seconds")
         entry_cost = initial_cost
+        converged = False
         while passes < self.config.max_passes:
             if tracer.enabled:
                 tracer.emit(
@@ -637,10 +650,12 @@ class SanchisEngine:
             if pass_cost < best_cost:
                 best_cost = pass_cost
             else:
+                converged = True
                 break
         return SanchisResult(
             initial_cost=initial_cost,
             best_cost=best_cost,
             passes=passes,
             moves_applied=total_moves,
+            converged=converged,
         )

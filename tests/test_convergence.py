@@ -112,6 +112,26 @@ class TestTraceConsumers:
         assert "final" in text
         assert "d_k:" in lines[-1]
 
+    def test_pass_table_counts_improve_skips(self):
+        from repro.analysis import convergence_from_trace, render_pass_table
+
+        events = self._events()
+        assert "improve_skip" not in render_pass_table(events)
+        events[3:3] = [
+            {"event": "improve_skip", "reason": "replay", "blocks": [0, 1],
+             "passes_avoided": 3, "restarts": 2},
+            {"event": "improve_skip", "reason": "settled", "blocks": [1, 0],
+             "passes_avoided": 1},
+            {"event": "improve_skip", "reason": "settled", "blocks": [2, 0],
+             "passes_avoided": 1},
+        ]
+        # Skips carry no cost: the per-pass series is unchanged.
+        assert convergence_from_trace(events) == convergence_from_trace(
+            self._events()
+        )
+        lines = render_pass_table(events).splitlines()
+        assert lines[-1] == "improve_skip: 1 replay, 2 settled; 5 passes avoided"
+
     def test_pass_table_empty_trace(self):
         from repro.analysis import render_pass_table
 

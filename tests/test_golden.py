@@ -16,6 +16,17 @@ selection order; this corpus can.  The corpus was generated once from an
 unchanged engine and is never regenerated in a change that touches the
 search: a mismatch means the change altered behaviour.
 
+Re-derivation rule: ``assignment_sha256``, ``cost`` and ``num_devices``
+are never re-derived.  The pass-level fields (``passes`` and
+``pass_start_sha256`` here, plus ``pass_moves_sha256`` in
+``tests/test_golden_extended.py``) describe how a run got there and may
+be re-derived only by a change that skips engine work whose outcome is
+already known, leaves every other field byte-identical, and checks,
+against a clean clone of its parent, that each run's new pass list is
+the parent's list with exactly the passes its ``improve_skip`` trace
+events report removed.  That was done once, when ``improve()`` began
+skipping replayed restarts and settled calls (DESIGN.md §6 and §14).
+
 By default the stand-ins under 500 cells are checked; ``REPRO_FULL=1``
 checks every entry.  ``python tests/test_golden.py --write`` regenerates
 the file (only ever from a commit whose search is known good).

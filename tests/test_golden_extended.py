@@ -27,6 +27,17 @@ unified, and the generator then also checked every ``fpart`` and
 regenerated in a change that touches the search: a mismatch means the
 change altered behaviour.
 
+Re-derivation rule: ``assignment_sha256``, ``cost`` and ``num_devices``
+(and the builder and baseline sections) are never re-derived.  The
+pass-level fields of the ``fpart`` section (``passes``,
+``pass_start_sha256`` and ``pass_moves_sha256``) describe how a run got
+there and may be re-derived only by a change that skips engine work
+whose outcome is already known, leaves every other field
+byte-identical, and checks, against a clean clone of its parent, that
+each run's new pass list is the parent's list with exactly the passes
+its ``improve_skip`` trace events report removed.  That was done once, when ``improve()`` began
+skipping replayed restarts and settled calls (DESIGN.md §6 and §14).
+
 By default two of the stand-ins under 500 cells (:data:`TIER1`) are
 checked in the ``fpart`` and ``baselines`` sections, and every small
 stand-in plus the smaller generated circuit in the cheap ``builders``

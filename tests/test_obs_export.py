@@ -215,6 +215,18 @@ class TestChromeTrace:
         assert "run_start" in instants
         assert "run_end" in instants
 
+    def test_improve_skip_becomes_instant(self, traced_run):
+        skips = [e for e in traced_run if e["event"] == "improve_skip"]
+        assert skips
+        obj = trace_to_chrome(traced_run)
+        instants = [
+            e for e in obj["traceEvents"]
+            if e["ph"] == "i" and e["name"] == "improve_skip"
+        ]
+        assert [e["args"]["passes_avoided"] for e in instants] == [
+            e["passes_avoided"] for e in skips
+        ]
+
     def test_empty_stream(self):
         obj = trace_to_chrome([])
         # Metadata only, still a loadable document.

@@ -97,6 +97,8 @@ def _valid_stream():
                 cost=cost_fields(FakeCost()))
     writer.emit("move_batch", moves=64, key=[1, 2.0, 3, 4.0])
     writer.emit("solution_push", stack="f1", cost=cost_fields(FakeCost()))
+    writer.emit("improve_skip", reason="replay", blocks=[0, 1],
+                passes_avoided=3, restarts=2)
     writer.emit("lex_improve", iteration=0, cost=cost_fields(FakeCost()))
     writer.emit("checkpoint", iteration=0, guard={})
     writer.emit("progress", iteration=1, moves=64, elapsed_seconds=0.5)
@@ -123,6 +125,15 @@ class TestValidation:
 
     def test_non_dict_event(self):
         assert validate_event([1, 2]) == ["event is not a JSON object"]
+
+    def test_improve_skip_reason_and_passes_checked(self):
+        events = _valid_stream()
+        skip = next(e for e in events if e["event"] == "improve_skip")
+        skip["reason"] = "guess"
+        skip["passes_avoided"] = -1
+        problems = validate_trace(events)
+        assert any("unknown reason 'guess'" in p for p in problems)
+        assert any("passes_avoided is -1" in p for p in problems)
 
     def test_unknown_event_type(self):
         events = _valid_stream()
@@ -190,7 +201,7 @@ class TestCliValidator:
         path = self._write(tmp_path, _valid_stream())
         assert trace_main([str(path)]) == 0
         out = capsys.readouterr().out
-        assert "10 events OK" in out
+        assert "11 events OK" in out
         assert "run_start=1" in out
 
     def test_invalid_file_exits_one(self, tmp_path, capsys):
